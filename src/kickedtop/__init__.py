@@ -39,7 +39,6 @@ from .floquet import (
     KickedTopParams,
     build_floquet,
     diagonalize,
-    diagonalize_sectors,
     evolve_state,
     parity_operator,
     wigner_d_matrix,

@@ -6,33 +6,46 @@ caches each eigensystem the first time it is computed.  File layout
 
     offset  size            field
     0       8               magic  b"KTEIGSYS"
-    8       u4              format version (currently 1)
-    12      f8              j
-    20      f8              kappa
-    28      f8              alpha
-    36      u4              dim (= 2j + 1)
-    40      dim * f8        quasienergies, ascending
-    ...     dim * i1        parities (+1 even, -1 odd)
-    ...     dim*dim * c16   eigenvectors, C (row-major) order;
+    8       u4              format version (currently 2)
+    12      u4              dim (= 2j + 1)
+    16      f8              j
+    24      f8              kappa
+    32      f8              alpha
+    40      u4              degenerate_clusters
+    44      u4              zero padding
+    48      dim*dim * c16   eigenvectors, C (row-major) order;
                             column i pairs with quasienergy i
+    ...     dim * f8        quasienergies, ascending
+    ...     dim * i1        parities (+1 even, -1 odd)
+    ...     u4              CRC-32 of all preceding bytes
 
-Files are named by the first 16 hex digits of the SHA-256 of the
-parameter triple, so a parameter mismatch simply misses the cache.
+The padding keeps the eigenvector block 16-byte aligned, so a loaded
+file is used in place without copying.  Files are written to a
+temporary name in the same directory and renamed into place, so a
+reader never sees a partial file.  Files are named by the first 16 hex
+digits of the SHA-256 of the parameter triple, so a parameter mismatch
+simply misses the cache.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import struct
+import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
 
-from .floquet import FloquetEigensystem, KickedTopParams, build_floquet, diagonalize, parity_operator
+from .floquet import FloquetEigensystem, KickedTopParams, diagonalize
 
 __all__ = ["cache_path", "save_eigensystem", "load_eigensystem", "cached_eigensystem"]
 
 MAGIC = b"KTEIGSYS"
-VERSION = 1
+VERSION = 2
+HEADER = struct.Struct("<8sII3dII")
+CRC = struct.Struct("<I")
 
 
 class CacheFormatError(RuntimeError):
@@ -54,40 +67,53 @@ def save_eigensystem(path, eig: FloquetEigensystem) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     p = eig.params
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        np.array([VERSION], dtype="<u4").tofile(fh)
-        np.array([p.j, p.kappa, p.alpha], dtype="<f8").tofile(fh)
-        np.array([eig.dim], dtype="<u4").tofile(fh)
-        eig.quasienergies.astype("<f8").tofile(fh)
-        eig.parities.astype("<i1").tofile(fh)
-        np.ascontiguousarray(eig.eigenvectors).astype("<c16").tofile(fh)
+    parts = [
+        HEADER.pack(MAGIC, VERSION, eig.dim, p.j, p.kappa, p.alpha, eig.degenerate_clusters, 0),
+        np.ascontiguousarray(eig.eigenvectors, dtype="<c16"),
+        np.ascontiguousarray(eig.quasienergies, dtype="<f8"),
+        np.ascontiguousarray(eig.parities, dtype="<i1"),
+    ]
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        crc = 0
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                crc = zlib.crc32(part, crc)
+                fh.write(part)
+            fh.write(CRC.pack(crc))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_eigensystem(path) -> FloquetEigensystem:
     """Read a cached eigensystem; raises CacheFormatError on any mismatch."""
     path = Path(path)
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CacheFormatError(f"{path}: bad magic {magic!r}")
-        version = int(np.fromfile(fh, dtype="<u4", count=1)[0])
-        if version != VERSION:
-            raise CacheFormatError(f"{path}: version {version}, expected {VERSION}")
-        j, kappa, alpha = np.fromfile(fh, dtype="<f8", count=3)
-        dim = int(np.fromfile(fh, dtype="<u4", count=1)[0])
-        if dim != round(2 * j) + 1:
-            raise CacheFormatError(f"{path}: dim {dim} inconsistent with j={j}")
-        nu = np.fromfile(fh, dtype="<f8", count=dim)
-        parities = np.fromfile(fh, dtype="<i1", count=dim)
-        vecs = np.fromfile(fh, dtype="<c16", count=dim * dim)
-        if nu.size != dim or parities.size != dim or vecs.size != dim * dim:
-            raise CacheFormatError(f"{path}: truncated file")
+        buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        if fh.readinto(buf) != buf.size:
+            raise CacheFormatError(f"{path}: short read")
+    if bytes(buf[: len(MAGIC)]) != MAGIC:
+        raise CacheFormatError(f"{path}: bad magic {bytes(buf[:len(MAGIC)])!r}")
+    if buf.size < HEADER.size + CRC.size:
+        raise CacheFormatError(f"{path}: truncated file")
+    _, version, dim, j, kappa, alpha, clusters, _ = HEADER.unpack_from(buf)
+    if version != VERSION:
+        raise CacheFormatError(f"{path}: version {version}, expected {VERSION}")
+    if dim != round(2 * j) + 1:
+        raise CacheFormatError(f"{path}: dim {dim} inconsistent with j={j}")
+    vec_end = HEADER.size + 16 * dim * dim
+    nu_end = vec_end + 8 * dim
+    if buf.size != nu_end + dim + CRC.size:
+        raise CacheFormatError(f"{path}: truncated file")
+    if zlib.crc32(buf[: -CRC.size]) != CRC.unpack_from(buf, buf.size - CRC.size)[0]:
+        raise CacheFormatError(f"{path}: checksum mismatch")
     return FloquetEigensystem(
-        quasienergies=nu.astype(float),
-        eigenvectors=vecs.astype(complex).reshape(dim, dim),
-        parities=parities.astype(np.int8),
+        quasienergies=buf[vec_end:nu_end].view("<f8"),
+        eigenvectors=buf[HEADER.size : vec_end].view("<c16").reshape(dim, dim),
+        parities=buf[nu_end : nu_end + dim].view(np.int8),
         params=KickedTopParams(alpha=float(alpha), kappa=float(kappa), j=int(round(j))),
+        degenerate_clusters=clusters,
     )
 
 
@@ -95,8 +121,9 @@ def cached_eigensystem(params: KickedTopParams, cache_dir=None) -> FloquetEigens
     """Compute (or fetch) the full parity-resolved eigensystem of F.
 
     With ``cache_dir`` set, a valid cache file for these exact parameters
-    is used when present, and new results are written back.  Unreadable
-    or mismatched files are silently recomputed and overwritten.
+    is used when present, and new results are written back.  Unreadable,
+    corrupt, older-format or mismatched files are silently recomputed and
+    overwritten.
     """
     if cache_dir is not None:
         path = cache_path(cache_dir, params)
@@ -107,7 +134,7 @@ def cached_eigensystem(params: KickedTopParams, cache_dir=None) -> FloquetEigens
                     return eig
             except (CacheFormatError, OSError):
                 pass
-    eig = diagonalize(build_floquet(params), parity_operator(params.basis))
+    eig = diagonalize(params)
     if cache_dir is not None:
         save_eigensystem(cache_path(cache_dir, params), eig)
     return eig

@@ -9,7 +9,8 @@ Common flags: --j, --kappa (value, comma list, or start:stop:step),
 Option precedence: command-line flags beat the config file, which beats
 the built-in defaults copied from the standard figure recipes.  The
 config file holds ``key = value`` lines ('#' comments allowed), keys
-named like the long options without the leading dashes.
+named like the long options without the leading dashes; an unknown key,
+or a value the matching flag would reject, is a usage error.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from decimal import ROUND_CEILING, Decimal, InvalidOperation
 from pathlib import Path
 
 import numpy as np
@@ -65,22 +67,35 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def parse_values(text: str) -> np.ndarray:
-    """Parse a scan spec: single value, comma list, or start:stop:step
-    (stop inclusive up to rounding)."""
-    text = str(text).strip()
+def _decimal(part: str, text: str) -> Decimal:
     try:
-        if ":" in text:
-            parts = [float(p) for p in text.split(":")]
-            if len(parts) != 3:
-                raise UsageError(f"range must be start:stop:step, got {text!r}")
-            start, stop, step = parts
-            if step <= 0 or stop < start:
-                raise UsageError(f"bad range {text!r}")
-            return np.arange(start, stop + 0.5 * step, step)
+        value = Decimal(part)
+    except InvalidOperation:
+        raise UsageError(f"cannot parse values {text!r}") from None
+    if not value.is_finite():
+        raise UsageError(f"range bounds must be finite, got {text!r}")
+    return value
+
+
+def parse_values(text: str) -> np.ndarray:
+    """Parse a scan spec: single value, comma list, or start:stop:step.
+
+    A range steps in exact decimal arithmetic on the digits as written,
+    so 0.2:1:0.2 gives 0.6, not 0.6000000000000001, and matches the same
+    value given in a comma list.  It holds every start + i*step below
+    stop + step/2, so stop is included."""
+    text = str(text).strip()
+    if ":" in text:
+        parts = [_decimal(p, text) for p in text.split(":")]
+        if len(parts) != 3:
+            raise UsageError(f"range must be start:stop:step, got {text!r}")
+        start, stop, step = parts
+        if step <= 0 or stop < start:
+            raise UsageError(f"bad range {text!r}")
+        count = int(((stop - start) / step + Decimal("0.5")).to_integral_value(ROUND_CEILING))
+        return np.array([float(start + i * step) for i in range(count)])
+    try:
         values = np.array([float(p) for p in text.split(",") if p.strip() != ""])
-    except UsageError:
-        raise
     except ValueError as exc:
         raise UsageError(f"cannot parse values {text!r}: {exc}") from exc
     if values.size == 0:
@@ -111,6 +126,43 @@ def load_config(path) -> dict:
     return cfg
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def validate_config(cfg: dict, parser: argparse.ArgumentParser) -> dict:
+    """Convert config values as the subcommand's flags would be.
+
+    Every key must name a long option of the subcommand (``config`` and
+    ``help`` excepted); each value goes through that option's ``type``
+    and ``choices``, and on/off flags take true/false.  Any violation is
+    a UsageError naming the key.
+    """
+    options = {
+        a.option_strings[-1][2:]: a
+        for a in parser._actions
+        if a.option_strings and a.option_strings[-1][2:] not in ("config", "help")
+    }
+    out = {}
+    for key, text in cfg.items():
+        action = options.get(key)
+        if action is None:
+            raise UsageError(f"unknown config key {key!r}")
+        if action.nargs == 0:
+            if text.lower() not in _BOOLEANS:
+                raise UsageError(f"config key {key!r}: expected true or false, got {text!r}")
+            out[key] = _BOOLEANS[text.lower()]
+            continue
+        try:
+            value = action.type(text) if action.type else text
+        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"config key {key!r}: invalid value {text!r}") from exc
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(str, action.choices))
+            raise UsageError(f"config key {key!r}: invalid choice {text!r} (choose from {choices})")
+        out[key] = value
+    return out
+
+
 def add_common(parser):
     parser.add_argument("--j", type=int, help="spin quantum number (integer)")
     parser.add_argument("--kappa", type=_scan_str, help="kick strength: value, comma list, or start:stop:step")
@@ -119,7 +171,7 @@ def add_common(parser):
     parser.add_argument("--threads", type=int, help="worker threads (default: available cores)")
     parser.add_argument("--out", help="output directory (default: ./out)")
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--no-cache", action="store_true", help="disable the eigensystem cache")
+    parser.add_argument("--no-cache", action="store_true", default=None, help="disable the eigensystem cache")
 
 
 class Run:
@@ -127,7 +179,7 @@ class Run:
 
     def __init__(self, args):
         self.args = args
-        self.cfg = load_config(args.config) if args.config else {}
+        self.cfg = validate_config(load_config(args.config), args.options) if args.config else {}
         self.command = args.command
         self.seed = int(self.pick("seed", 0))
         self.threads = int(self.pick("threads", os.cpu_count() or 1))
@@ -160,7 +212,7 @@ class Run:
         return values
 
     def cache_dir(self):
-        return None if self.args.no_cache else self.out / "cache"
+        return None if self.pick("no-cache", False) else self.out / "cache"
 
     def metadata(self, **extra) -> dict:
         meta = {"tool": f"kickedtop {__version__}", "command": self.command}
@@ -286,8 +338,6 @@ def cmd_spectrum(args) -> int:
     run = Run(args)
     j = int(run.opt("j", 1000, int))
     sector = str(run.opt("sector", "even", str))
-    if sector not in ("even", "odd"):
-        raise ValueError(f"sector must be even or odd, got {sector!r}")
     bins = np.linspace(0.0, 4.0, int(run.opt("bins", 50, int)) + 1)
     kappas = run.kappas()
     cache = run.cache_dir()
@@ -511,7 +561,7 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--orbits", type=int, help="number of random initial conditions (289)")
     p.add_argument("--kicks", type=int, help="kicks per orbit (300)")
-    p.set_defaults(func=cmd_portrait)
+    p.set_defaults(func=cmd_portrait, options=p)
 
     p = sub.add_parser("lyapunov", help="Lyapunov fields and phase-space averages")
     add_common(p)
@@ -520,14 +570,14 @@ def build_parser() -> _Parser:
     p.add_argument("--kicks", type=int, help="kicks per trajectory (5000)")
     p.add_argument("--samples", type=int, help="initial conditions per scan point (1000)")
     p.add_argument("--alpha-grid", help="alpha range for scan mode (start:stop:step)")
-    p.add_argument("--kappa-c", action="store_true", help="also locate the chaos threshold per alpha")
-    p.set_defaults(func=cmd_lyapunov)
+    p.add_argument("--kappa-c", action="store_true", default=None, help="also locate the chaos threshold per alpha")
+    p.set_defaults(func=cmd_lyapunov, options=p)
 
     p = sub.add_parser("spectrum", help="quasienergy spacing statistics")
     add_common(p)
     p.add_argument("--sector", choices=["even", "odd"], help="parity sector (even)")
     p.add_argument("--bins", type=int, help="histogram bins on s in [0,4] (50)")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_spectrum, options=p)
 
     p = sub.add_parser("multifractal", help="fractal dimensions of coherent states")
     add_common(p)
@@ -536,14 +586,14 @@ def build_parser() -> _Parser:
     p.add_argument("--q", help="comma list of q orders, 'inf' allowed (1,2,inf)")
     p.add_argument("--samples", type=int, help="coherent states per average (10000)")
     p.add_argument("--j-list", help="comma list of j for scan/scaling modes")
-    p.set_defaults(func=cmd_multifractal)
+    p.set_defaults(func=cmd_multifractal, options=p)
 
     p = sub.add_parser("coeffdist", help="expansion-coefficient distributions vs chi^2_nu")
     add_common(p)
     p.add_argument("--nu", type=int, choices=[1, 2, 4], help="reference chi^2 degrees of freedom (2)")
     p.add_argument("--samples", type=int, help="coherent states pooled per point (10000)")
     p.add_argument("--j-list", help="comma list of j values (150)")
-    p.set_defaults(func=cmd_coeffdist)
+    p.set_defaults(func=cmd_coeffdist, options=p)
     return parser
 
 

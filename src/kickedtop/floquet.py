@@ -12,6 +12,7 @@ principal range [-pi, pi).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,15 +29,24 @@ __all__ = [
     "build_floquet",
     "parity_operator",
     "diagonalize",
-    "diagonalize_sectors",
     "evolve_state",
 ]
 
 EVEN, ODD = 1, -1
 
+# c in the mixed matrix A + cB; irrational, so the fold point atan(c) of
+# the map nu -> cos(nu) + c sin(nu) is no rational multiple of pi
+_MIX = 0.5 * (np.sqrt(5.0) - 1.0)
+# A + cB eigenvalue gap below which clusters are resolved by _split_collision;
+# eigh mixes vectors a gap g apart by ~1e-16/g, so pairs left unsplit keep
+# residuals near 1e-12
+_SPLIT_TOL = 1e-4
+# largest accepted |M o - e^(i nu) o| of a parity block M
+_RESIDUAL_TOL = 1e-9
+
 
 class DiagonalizationError(RuntimeError):
-    """Eigensolver failure or unresolved parity, with the offending size/params."""
+    """Eigensolver failure or an eigen-residual above tolerance, with the offending size/params."""
 
 
 @dataclass(frozen=True)
@@ -79,9 +89,9 @@ class FloquetEigensystem:
 
     ``eigenvectors[:, i]`` belongs to ``quasienergies[i]``; ``parities[i]``
     is +1 (even) or -1 (odd).  Sorted by quasienergy ascending, ties
-    broken even-first.  ``degenerate_clusters`` counts quasienergy
-    clusters that needed explicit re-orthonormalization (gauge fixed,
-    see ``diagonalize``); nonzero values flag gauge-dependent downstream
+    broken even-first.  ``degenerate_clusters`` counts the degenerate
+    quasienergy clusters within a parity sector whose gauge was fixed
+    (see ``diagonalize``); nonzero values flag gauge-dependent downstream
     quantities.
     """
 
@@ -101,13 +111,9 @@ class FloquetEigensystem:
         return np.sort(self.quasienergies[self.parities == want])
 
 
-def jx_eigenbasis(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues k_x = -j..j and orthonormal eigenvectors of J_x.
-
-    J_x is real symmetric tridiagonal in the Dicke basis; its exact
-    spectrum is the integer (or half-integer) ladder -j..j, so the
-    computed eigenvalues are snapped onto it after a sanity check.
-    """
+@functools.lru_cache(maxsize=4)
+def _jx_eigensystem(j: float) -> tuple[np.ndarray, np.ndarray]:
+    basis = SpinBasis(j)
     d, e = jx_tridiagonal(basis)
     try:
         vals, vecs = sla.eigh_tridiagonal(d, e)
@@ -119,7 +125,20 @@ def jx_eigenbasis(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
     defect = np.max(np.abs(vals - k))
     if defect > 1e-8 * max(1.0, basis.j):
         raise DiagonalizationError(f"J_x spectrum defect {defect:.3e} at dim={basis.dim}")
+    k.setflags(write=False)
+    vecs.setflags(write=False)
     return k, vecs
+
+
+def jx_eigenbasis(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues k_x = -j..j and orthonormal eigenvectors of J_x.
+
+    J_x is real symmetric tridiagonal in the Dicke basis; its exact
+    spectrum is the integer (or half-integer) ladder -j..j, so the
+    computed eigenvalues are snapped onto it after a sanity check.
+    Memoized for the last few j; the returned arrays are read-only.
+    """
+    return _jx_eigensystem(basis.j)
 
 
 def wigner_d_matrix(basis: SpinBasis, alpha: float) -> np.ndarray:
@@ -152,176 +171,143 @@ def parity_operator(basis: SpinBasis) -> np.ndarray:
     return (v * signs) @ v.T
 
 
-def _principal_phase(eigvals: np.ndarray) -> np.ndarray:
-    """arg() of unit-circle eigenvalues folded into [-pi, pi)."""
-    nu = np.angle(eigvals)
-    return np.where(nu >= np.pi, nu - 2 * np.pi, nu)
+def _clusters(x: np.ndarray, tol: float, wrap: bool = False) -> list[np.ndarray]:
+    """Index runs of sorted ``x`` with consecutive gaps below ``tol``.
 
-
-def _phase_clusters(nu_sorted: np.ndarray, gap_tol: float) -> list[np.ndarray]:
-    """Group sorted phases into clusters separated by gaps < gap_tol.
-
-    Works on the circle: the wrap-around gap nu[0] + 2pi - nu[-1] can
-    merge the first and last runs.
+    Only runs of two or more are returned.  With ``wrap`` the values are
+    phases on the circle: the gap x[0] + 2pi - x[-1] can merge the last
+    run into the first.
     """
-    n = nu_sorted.size
-    if n == 1:
-        return [np.array([0])]
-    gaps = np.diff(nu_sorted)
-    breaks = np.nonzero(gaps >= gap_tol)[0]  # break after index b
-    if breaks.size == 0:
-        return [np.arange(n)]
-    runs = []
-    start = 0
-    for b in breaks:
-        runs.append(np.arange(start, b + 1))
-        start = b + 1
-    runs.append(np.arange(start, n))
-    wrap_gap = nu_sorted[0] + 2 * np.pi - nu_sorted[-1]
-    if len(runs) > 1 and wrap_gap < gap_tol:
+    runs = np.split(np.arange(x.size), np.nonzero(np.diff(x) >= tol)[0] + 1)
+    if wrap and len(runs) > 1 and x[0] + 2 * np.pi - x[-1] < tol:
         runs[0] = np.concatenate([runs.pop(), runs[0]])
-    return runs
+    return [r for r in runs if r.size > 1]
 
 
-def _fix_cluster_gauge(block: np.ndarray, parity: np.ndarray, jz2: np.ndarray):
-    """Orthonormalize a degenerate cluster and give every column sharp parity.
+def _rotate(idx: np.ndarray, r: np.ndarray, *arrays: np.ndarray) -> None:
+    """Replace the columns ``idx`` of each array by their combinations ``r``."""
+    for a in arrays:
+        a[:, idx] = a[:, idx] @ r
 
-    Within each resulting parity subspace the residual gauge freedom is
-    fixed by diagonalizing the compressed Jz^2 (Jz itself is parity-odd
-    and compresses to zero, so it cannot split anything).
-    Returns (block, parity_expectations).
+
+def _split_collision(idx: np.ndarray, o: np.ndarray, ao: np.ndarray, bo: np.ndarray) -> None:
+    """Resolve a cluster of near-equal A + cB eigenvalues, in place.
+
+    A + cB maps nu and 2 atan(c) - nu onto one eigenvalue, so such
+    folded pairs (and true degeneracies) share a cluster.  Within it the
+    compressed cos(chi) A + sin(chi) B = cos(nu - chi) is diagonalized;
+    it separates a pair in proportion to |sin(mu - chi)|, mu being the
+    pair's mean phase, so chi is placed in the widest gap between the
+    mean phases (mod pi) of the cluster.  chi = pi/2, plain B, folds at
+    +-pi/2 in turn.
     """
-    q, _ = np.linalg.qr(block)
-    pc = q.conj().T @ parity @ q
-    pvals, pw = np.linalg.eigh((pc + pc.conj().T) / 2)
-    q = q @ pw
-    for sign in (-1.0, 1.0):
-        idx = np.nonzero(np.abs(pvals - sign) < 0.5)[0]
-        if idx.size > 1:
-            sub = q[:, idx]
-            zc = sub.conj().T @ (jz2[:, None] * sub)
-            _, zw = np.linalg.eigh((zc + zc.conj().T) / 2)
-            q[:, idx] = sub @ zw
-    return q, pvals
+    q = o[:, idx]
+    ac, bc = q.T @ ao[:, idx], q.T @ bo[:, idx]
+    nu = np.angle(np.linalg.eigvals(ac + 1j * bc))
+    i, j = np.triu_indices(nu.size, 1)
+    mean = np.sort((nu[i] + nu[j]) / 2 % np.pi)
+    gaps = np.diff(mean, append=mean[0] + np.pi)
+    chi = mean[np.argmax(gaps)] + np.max(gaps) / 2
+    _, r = np.linalg.eigh(np.cos(chi) * ac + np.sin(chi) * bc)
+    _rotate(idx, r, o, ao, bo)
 
 
-def _normalize_column_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    idx = np.argmax(np.abs(vecs), axis=0)
-    pivots = vecs[idx, np.arange(vecs.shape[1])]
-    phases = pivots / np.abs(pivots)
-    return vecs / phases[None, :]
+def _sector_eigensystem(
+    b: np.ndarray,
+    rotation: np.ndarray,
+    half_kick: np.ndarray,
+    jz2: np.ndarray,
+    gap_tol: float,
+    params: KickedTopParams,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenphases and real eigenvectors of one parity block of F'.
 
-
-def diagonalize(
-    op: FloquetOperator,
-    parity: np.ndarray,
-    gap_tol: float = 1e-10,
-    parity_tol: float = 1e-6,
-) -> FloquetEigensystem:
-    """Full eigensystem of F with parity-resolved eigenvectors.
-
-    Uses a general complex eigensolver on the unitary F and reads the
-    quasienergies as principal-value phases.  Quasienergy clusters with
-    internal gaps below ``gap_tol`` are re-orthonormalized and rotated to
-    simultaneously diagonalize the parity (plus a deterministic Jz^2
-    gauge within residual degeneracies).  Every returned eigenvector has
-    |<v|Pi|v>| = 1 within ``parity_tol``; violations raise
-    DiagonalizationError.
+    ``b`` holds the sector's real J_x eigenvectors, ``rotation`` their
+    factors e^(-i alpha k).  The block M = W diag(rotation) W, with
+    W = b^T K^(1/2) b, is a complex-symmetric unitary A + iB; A and B are
+    commuting real symmetric matrices, so one real orthogonal O
+    diagonalizes both.  Returns (nu, O, number of gauge-fixed clusters).
     """
-    f = op.matrix
+    w = (b.T * half_kick.real) @ b + 1j * ((b.T * half_kick.imag) @ b)
+    block = (w * rotation) @ w
+    a, bi = np.ascontiguousarray(block.real), np.ascontiguousarray(block.imag)
     try:
-        eigvals, vecs = sla.eig(f)
-    except Exception as exc:
+        lam, o = np.linalg.eigh(a + _MIX * bi)
+    except np.linalg.LinAlgError as exc:
         raise DiagonalizationError(
-            f"eigensolver failed for dim={op.dim}, params={op.params}: {exc}"
+            f"sector eigensolver failed for dim={b.shape[1]}, params={params}: {exc}"
         ) from exc
-    nu = _principal_phase(eigvals)
+    ao, bo = a @ o, bi @ o
+    for idx in _clusters(lam, _SPLIT_TOL):
+        _split_collision(idx, o, ao, bo)
+
+    nu = np.arctan2(np.sum(o * bo, axis=0), np.sum(o * ao, axis=0))
+    nu[nu >= np.pi] -= 2 * np.pi
     order = np.argsort(nu, kind="stable")
-    nu, vecs = nu[order], vecs[:, order]
-    vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
+    nu, o, ao, bo = nu[order], o[:, order], ao[:, order], bo[:, order]
 
-    m = op.params.basis.m_values
-    jz2 = (m * m).astype(float)
-    n_clusters = 0
-    for idx in _phase_clusters(nu, gap_tol):
-        if idx.size < 2:
-            continue
-        n_clusters += 1
-        vecs[:, idx], _ = _fix_cluster_gauge(vecs[:, idx], parity, jz2)
+    # true degeneracies: fix the gauge by diagonalizing the compressed Jz^2
+    # (Jz itself is parity-odd and compresses to zero)
+    clusters = _clusters(nu, gap_tol, wrap=True)
+    for idx in clusters:
+        q = b @ o[:, idx]
+        _, r = np.linalg.eigh(q.T @ (jz2[:, None] * q))
+        _rotate(idx, r, o, ao, bo)
 
-    pexp = np.real(np.sum(vecs.conj() * (parity @ vecs), axis=0))
-    if np.max(np.abs(np.abs(pexp) - 1.0)) > parity_tol:
-        worst = float(np.max(np.abs(np.abs(pexp) - 1.0)))
+    residual = np.sqrt(np.sum((ao - o * np.cos(nu)) ** 2 + (bo - o * np.sin(nu)) ** 2, axis=0))
+    worst = float(np.max(residual))
+    if not worst <= _RESIDUAL_TOL:
         raise DiagonalizationError(
-            f"parity expectation off +/-1 by {worst:.3e} for dim={op.dim}, "
-            f"params={op.params}; unresolved degenerate subspace"
+            f"eigen-residual {worst:.3e} in a parity block of dim={b.shape[1]}, params={params}"
         )
-    parities = np.where(pexp > 0, EVEN, ODD).astype(np.int8)
-
-    vecs = _normalize_column_phases(vecs)
-    order = np.lexsort((parities == ODD, nu))  # ascending nu, even first on ties
-    return FloquetEigensystem(
-        quasienergies=nu[order],
-        eigenvectors=vecs[:, order],
-        parities=parities[order],
-        params=op.params,
-        degenerate_clusters=n_clusters,
-    )
+    return nu, o, len(clusters)
 
 
-def diagonalize_sectors(params: KickedTopParams, gap_tol: float = 1e-10) -> FloquetEigensystem:
-    """Sector-first route: diagonalize F projected on each parity block.
+def diagonalize(params: KickedTopParams, gap_tol: float = 1e-10) -> FloquetEigensystem:
+    """Full parity-resolved eigensystem of F, one real symmetric eigensolve per sector.
 
-    Builds the even/odd subspace bases from the fixed-parity J_x
-    eigenvectors, diagonalizes each (j+1)- and j-dimensional block
-    separately, and assembles a full-space eigensystem.  Independent of
-    :func:`diagonalize` apart from shared operator construction; used as
-    a cross-check and as the cheaper path for spectral statistics.
+    The kick is split symmetrically, F' = K^(1/2) D(alpha) K^(1/2) with
+    K = exp(-i kappa Jz^2 / 2j), so F = K^(1/2) F' K^(-1/2).  Each parity
+    block of F' is complex symmetric (the generalized time reversal of
+    the kicked top), so its eigenvectors o are real: they come from
+    eigh(A + cB), phases are read as nu = atan2(o^T B o, o^T A o), and
+    the eigenvectors of F are v = K^(1/2) b o.  Quasienergy clusters with
+    internal gaps below ``gap_tol`` get a deterministic gauge from the
+    compressed Jz^2 and are counted in ``degenerate_clusters``.  Every
+    block is checked for |M o - e^(i nu) o| before returning; a failure
+    raises DiagonalizationError.
     """
     basis = params.basis
     k, v = jx_eigenbasis(basis)
     m = basis.m_values
-    kick = np.exp(-1j * params.kappa * m**2 / (2.0 * params.j))
-    phase = np.exp(-1j * params.alpha * k)
+    half_kick = np.exp(-0.25j * params.kappa * m**2 / params.j)
+    rotation = np.exp(-1j * params.alpha * k)
+    jz2 = m * m
 
-    jz2 = (m * m).astype(float)
-    nus, vec_blocks, pars = [], [], []
+    nus, vec_blocks, pars, n_clusters = [], [], [], 0
     for par, cols in ((EVEN, slice(0, None, 2)), (ODD, slice(1, None, 2))):
-        b = v[:, cols]  # orthonormal basis of the sector, real
-        # F b = kick * (V e^{-i alpha k} V^T) b collapses to kick * (b * phase)
-        fb = b.T @ (kick[:, None] * (b * phase[cols]))
-        try:
-            eigvals, w = sla.eig(fb)
-        except Exception as exc:
-            raise DiagonalizationError(
-                f"sector eigensolver failed for dim={fb.shape[0]}, params={params}: {exc}"
-            ) from exc
-        nu = _principal_phase(eigvals)
-        order = np.argsort(nu, kind="stable")
-        nu, w = nu[order], w[:, order]
-        w /= np.linalg.norm(w, axis=0, keepdims=True)
-        for idx in _phase_clusters(nu, gap_tol):
-            if idx.size < 2:
-                continue
-            q, _ = np.linalg.qr(w[:, idx])
-            full = b @ q
-            zc = full.conj().T @ (jz2[:, None] * full)
-            _, zw = np.linalg.eigh((zc + zc.conj().T) / 2)
-            w[:, idx] = q @ zw
+        b = v[:, cols]
+        nu, o, clusters = _sector_eigensystem(b, rotation[cols], half_kick, jz2, gap_tol, params)
         nus.append(nu)
-        vec_blocks.append(b @ w)
+        vec_blocks.append(b @ o)
         pars.append(np.full(nu.size, par, dtype=np.int8))
+        n_clusters += clusters
 
     nu = np.concatenate(nus)
-    vecs = _normalize_column_phases(np.concatenate(vec_blocks, axis=1))
     parities = np.concatenate(pars)
-    order = np.lexsort((parities == ODD, nu))
+    order = np.lexsort((parities == ODD, nu))  # ascending nu, even first on ties
+    real = np.concatenate(vec_blocks, axis=1)[:, order]
+    # v = K^(1/2) b o, each column turned so its largest-magnitude entry is real positive;
+    # parity makes |v(m)| = |v(-m)|, so the pivot is sought among m <= 0 lest rounding pick the row
+    pivot = np.argmax(np.abs(real[: basis.dim // 2 + 1]), axis=0)
+    vecs = real * (np.sign(real[pivot, np.arange(basis.dim)]) * half_kick[pivot].conj())
+    vecs *= half_kick[:, None]
     return FloquetEigensystem(
         quasienergies=nu[order],
-        eigenvectors=vecs[:, order],
+        eigenvectors=vecs,
         parities=parities[order],
         params=params,
+        degenerate_clusters=n_clusters,
     )
 
 

@@ -21,6 +21,15 @@ def test_parse_values_forms():
         parse_values("abc")
 
 
+def test_range_steps_in_decimal():
+    values = parse_values("0.2:1:0.2")
+    assert [repr(float(v)) for v in values] == ["0.2", "0.4", "0.6", "0.8", "1.0"]
+    assert np.array_equal(parse_values("0.2:8:0.2")[2::5], parse_values("0.6,1.6,2.6,3.6,4.6,5.6,6.6,7.6"))
+    assert [repr(float(v)) for v in parse_values("0.1:0.35:0.1")] == ["0.1", "0.2", "0.3"]
+    with pytest.raises(ValueError):
+        parse_values("0:nan:0.1")
+
+
 def test_portrait_runs_and_is_deterministic(tmp_path):
     out = tmp_path / "run"
     args = ("portrait", "--kappa", "0.4", "--orbits", "5", "--kicks", "10",
@@ -153,6 +162,31 @@ def test_usage_error_bad_config(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this line has no equals sign\n")
     assert run("portrait", "--kappa", "1", "--config", cfg) == 1
+
+
+def test_usage_error_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("orbitz = 4\n")
+    assert run("portrait", "--kappa", "1", "--config", cfg, "--out", tmp_path) == 1
+    assert "orbitz" in capsys.readouterr().err
+
+
+def test_usage_error_config_choice(tmp_path, capsys):
+    cfg = tmp_path / "sector.cfg"
+    cfg.write_text("sector = foo\n")
+    assert run("spectrum", "--j", "4", "--kappa", "1", "--config", cfg, "--out", tmp_path) == 1
+    assert "sector" in capsys.readouterr().err
+    assert run("spectrum", "--j", "4", "--kappa", "1", "--sector", "foo", "--out", tmp_path) == 1
+
+
+def test_config_values_use_flag_types(tmp_path):
+    cfg = tmp_path / "types.cfg"
+    cfg.write_text("orbits = four\n")
+    assert run("portrait", "--kappa", "1", "--config", cfg, "--out", tmp_path) == 1
+    cfg.write_text("no-cache = true\nj = 4\n")
+    out = tmp_path / "nocache"
+    assert run("spectrum", "--kappa", "1", "--config", cfg, "--out", out) == 0
+    assert not (out / "cache").exists()
 
 
 def test_usage_error_bad_domain(tmp_path):

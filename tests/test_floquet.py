@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from kickedtop import floquet
 from kickedtop.classical import ClassicalState, classical_step
 from kickedtop.floquet import (
     KickedTopParams,
     build_floquet,
     diagonalize,
-    diagonalize_sectors,
     evolve_state,
+    jx_eigenbasis,
     parity_operator,
     wigner_d_matrix,
 )
@@ -19,7 +23,16 @@ ALPHA = 4 * np.pi / 7
 
 def eigensystem(j, kappa, alpha=ALPHA):
     params = KickedTopParams(alpha=alpha, kappa=kappa, j=j)
-    return diagonalize(build_floquet(params), parity_operator(params.basis))
+    return diagonalize(params)
+
+
+def circle_distance(nu, reference):
+    """Largest |e^(i nu) - z| over the best one-to-one pairing with the
+    unit-circle eigenvalues ``reference``.  Comparing on the circle keeps
+    phases that fold at +-pi paired, which a raw sort of nu does not."""
+    d = np.abs(np.exp(1j * np.asarray(nu))[:, None] - np.asarray(reference)[None, :])
+    rows, cols = linear_sum_assignment(d)
+    return d[rows, cols].max()
 
 
 def char_poly_phases(matrix):
@@ -115,7 +128,7 @@ def test_diagonalize_identity_floquet():
 def test_small_matrix_vs_characteristic_polynomial():
     params = KickedTopParams(alpha=ALPHA, kappa=3.0, j=2)
     f = build_floquet(params)
-    eig = diagonalize(f, parity_operator(params.basis))
+    eig = diagonalize(params)
     oracle = char_poly_phases(f.matrix)
     assert np.max(np.abs(np.sort(eig.quasienergies) - oracle)) < 1e-10
 
@@ -124,7 +137,7 @@ def test_small_matrix_vs_characteristic_polynomial():
 def test_small_j_eigenphases_bruteforce(j):
     params = KickedTopParams(alpha=ALPHA, kappa=7.0, j=j)
     f = build_floquet(params)
-    eig = diagonalize(f, parity_operator(params.basis))
+    eig = diagonalize(params)
     assert np.max(np.abs(np.sort(eig.quasienergies) - char_poly_phases(f.matrix))) < 1e-10
 
 
@@ -167,14 +180,96 @@ def test_degenerate_clusters_resolved():
 
 
 def test_two_diagonalization_routes_agree():
+    # brute-force oracle: a general complex eigensolver on the dense F
     params = KickedTopParams(alpha=ALPHA, kappa=3.0, j=60)
-    full = diagonalize(build_floquet(params), parity_operator(params.basis))
-    sectored = diagonalize_sectors(params)
-    assert np.max(np.abs(np.sort(full.quasienergies) - np.sort(sectored.quasienergies))) < 1e-8
-    for parity in ("even", "odd"):
-        assert np.max(np.abs(full.sector(parity) - sectored.sector(parity))) < 1e-8
-    gram = sectored.eigenvectors.conj().T @ sectored.eigenvectors
+    eig = diagonalize(params)
+    z, vecs = sla.eig(build_floquet(params).matrix)
+    assert circle_distance(eig.quasienergies, z) < 1e-8
+    pexp = np.real(np.sum(vecs.conj() * (parity_operator(params.basis) @ vecs), axis=0))
+    for parity, sign in (("even", 1), ("odd", -1)):
+        assert circle_distance(eig.sector(parity), z[np.sign(pexp) == sign]) < 1e-8
+    gram = eig.eigenvectors.conj().T @ eig.eigenvectors
     assert np.max(np.abs(gram - np.eye(121))) < 1e-8
+
+
+def test_phases_folding_at_pi_match_oracle():
+    # alpha = pi/2, kappa = 0: phases sit on -pi/2, 0, pi/2 and the branch
+    # cut at -pi, where the oracle may report +pi
+    params = KickedTopParams(alpha=np.pi / 2, kappa=0.0, j=9)
+    eig = diagonalize(params)
+    assert circle_distance(eig.quasienergies, sla.eigvals(build_floquet(params).matrix)) < 1e-10
+    assert np.all(eig.quasienergies >= -np.pi) and np.all(eig.quasienergies < np.pi)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.floats(0.0, 2 * np.pi, exclude_max=True),
+    kappa=st.floats(0.0, 12.0),
+    j=st.integers(1, 40),
+)
+def test_diagonalize_properties(alpha, kappa, j):
+    params = KickedTopParams(alpha=alpha, kappa=kappa, j=j)
+    eig = diagonalize(params)
+    f = build_floquet(params).matrix
+    v = eig.eigenvectors
+    residual = np.linalg.norm(f @ v - v * np.exp(1j * eig.quasienergies), axis=0)
+    assert np.max(residual) < 1e-9
+    assert np.max(np.abs(v.conj().T @ v - np.eye(2 * j + 1))) < 1e-10
+    pexp = np.real(np.sum(v.conj() * (parity_operator(params.basis) @ v), axis=0))
+    assert np.max(np.abs(pexp - eig.parities)) < 1e-10
+    assert int(np.sum(eig.parities == 1)) == j + 1
+    assert int(np.sum(eig.parities == -1)) == j
+    assert np.all(eig.quasienergies >= -np.pi) and np.all(eig.quasienergies < np.pi)
+    assert np.all(np.diff(eig.quasienergies) >= 0)
+    assert circle_distance(eig.quasienergies, sla.eigvals(f)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        # -alpha k and -alpha (-2 - k) sum to 2 atan(c): exactly folded pairs of A + cB
+        np.arctan(floquet._MIX),
+        # pairs straddling pi/2 within 1e-9, where the compressed B alone is degenerate
+        np.pi / 2 + 1e-9,
+    ],
+    ids=["folded-pair", "b-fold"],
+)
+def test_collision_split(monkeypatch, alpha):
+    sizes = []
+    split = floquet._split_collision
+
+    def spy(idx, *arrays):
+        sizes.append(idx.size)
+        split(idx, *arrays)
+
+    monkeypatch.setattr(floquet, "_split_collision", spy)
+    j = 20
+    params = KickedTopParams(alpha=alpha, kappa=0.0, j=j)
+    eig = diagonalize(params)
+    assert sizes and max(sizes) >= 2
+    f = build_floquet(params).matrix
+    residual = f @ eig.eigenvectors - eig.eigenvectors * np.exp(1j * eig.quasienergies)
+    assert np.max(np.linalg.norm(residual, axis=0)) < 1e-10
+    expected = np.exp(-1j * alpha * np.arange(-j, j + 1))
+    assert circle_distance(eig.quasienergies, expected) < 1e-10
+
+
+def test_eigenvector_phase_convention():
+    # largest-magnitude entry real positive; of the mirror pair m, -m the m <= 0 one
+    eig = eigensystem(40, 7.0)
+    mags = np.abs(eig.eigenvectors)
+    pivot = np.argmax(mags[:41], axis=0)
+    entries = eig.eigenvectors[pivot, np.arange(81)]
+    assert np.all(entries.real > 0)
+    assert np.max(np.abs(entries.imag) / entries.real) < 1e-14
+    assert np.max(np.abs(mags[pivot, np.arange(81)] / mags.max(axis=0) - 1)) < 1e-12
+
+
+def test_jx_eigenbasis_memoized_read_only():
+    k, v = jx_eigenbasis(SpinBasis(17))
+    again = jx_eigenbasis(SpinBasis(17.0))
+    assert again[0] is k and again[1] is v
+    assert not k.flags.writeable and not v.flags.writeable
 
 
 def test_determinant_modulus_one():

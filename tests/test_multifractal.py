@@ -3,7 +3,7 @@ import pytest
 from math import lgamma
 
 from kickedtop.classical import GridSpec, haar_sphere, rng_for_task
-from kickedtop.floquet import KickedTopParams, build_floquet, diagonalize, parity_operator
+from kickedtop.floquet import KickedTopParams, diagonalize
 from kickedtop.multifractal import (
     ExpansionCoefficients,
     averaged_dq,
@@ -22,7 +22,7 @@ QGRID = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, np.inf)
 
 def eigensystem(j, kappa, alpha=ALPHA):
     p = KickedTopParams(alpha=alpha, kappa=kappa, j=j)
-    return diagonalize(build_floquet(p), parity_operator(p.basis))
+    return diagonalize(p)
 
 
 def test_localized_state_zero_dimensions():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kickedtop.floquet import KickedTopParams, build_floquet, diagonalize, parity_operator
+from kickedtop.floquet import KickedTopParams, diagonalize
 from kickedtop.spectral import (
     SpacingEnsemble,
     brody_pdf,
@@ -135,7 +135,7 @@ def eig_j200():
     out = {}
     for kappa in (0.4, 7.0):
         p = KickedTopParams(alpha=ALPHA, kappa=kappa, j=200)
-        out[kappa] = diagonalize(build_floquet(p), parity_operator(p.basis))
+        out[kappa] = diagonalize(p)
     return out
 
 
