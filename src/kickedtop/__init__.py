@@ -13,14 +13,12 @@ from .classical import (
     ClassicalState,
     GridSpec,
     LyapunovField,
-    TangentFrame,
     averaged_lyapunov,
     classical_step,
     kappa_threshold,
     lyapunov_exponent,
     lyapunov_field,
     phase_portrait,
-    tangent_step,
 )
 from .cache import cached_eigensystem
 from .coeffstats import (

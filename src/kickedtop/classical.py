@@ -28,13 +28,11 @@ from .floquet import KickedTopParams
 
 __all__ = [
     "ClassicalState",
-    "TangentFrame",
     "GridSpec",
     "LyapunovField",
     "AveragedLyapunov",
     "classical_step",
     "jacobian",
-    "tangent_step",
     "lyapunov_exponent",
     "lyapunov_field",
     "averaged_lyapunov",
@@ -55,9 +53,7 @@ class ClassicalState:
 
     @staticmethod
     def from_angles(theta: float, phi: float) -> "ClassicalState":
-        return ClassicalState(
-            np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
-        )
+        return ClassicalState(_unit_vectors(theta, phi))
 
     @property
     def angles(self) -> tuple[float, float]:
@@ -66,12 +62,11 @@ class ClassicalState:
         return float(phi), float(np.arccos(np.clip(self.S[2], -1.0, 1.0)))
 
 
-@dataclass(frozen=True)
-class TangentFrame:
-    """Unit tangent perturbation plus the accumulated log stretching."""
-
-    deltaS: np.ndarray
-    log_norm_accum: float = 0.0
+def _unit_vectors(theta, phi) -> np.ndarray:
+    """Sphere points (sin t cos p, sin t sin p, cos t); shape (..., 3)."""
+    return np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1
+    )
 
 
 def _step_batch(s: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
@@ -131,13 +126,6 @@ def jacobian(state, params) -> np.ndarray:
     return m + np.outer(dm_dxi @ s, grad_xi)
 
 
-def tangent_step(state: ClassicalState, frame: TangentFrame, params) -> TangentFrame:
-    """Push the tangent vector one kick, renormalize, accumulate log stretch."""
-    d = jacobian(state, params) @ frame.deltaS
-    r = float(np.linalg.norm(d))
-    return TangentFrame(deltaS=d / r, log_norm_accum=frame.log_norm_accum + np.log(r))
-
-
 def _lyapunov_batch(
     s0: np.ndarray,
     alpha: float,
@@ -165,40 +153,11 @@ def _lyapunov_batch(
 
 
 def lyapunov_exponent(
-    state: ClassicalState,
-    params,
-    n_kicks: int,
-    n_transient: int = DEFAULT_TRANSIENT,
-    with_error: bool = False,
-):
-    """Largest Lyapunov exponent of one orbit (per kick).
-
-    With ``with_error=True`` also returns the standard error of the
-    slope of the accumulated log stretching versus kick number, a
-    convergence diagnostic for the estimator.
-    """
-    s = np.asarray(state.S, dtype=float)[None, :]
-    d = np.full_like(s, 1.0 / np.sqrt(3.0))
-    for _ in range(n_transient):
-        s, d = _step_tangent_batch(s, d, params.alpha, params.kappa)
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-    logs = np.empty(n_kicks)
-    for i in range(n_kicks):
-        s, d = _step_tangent_batch(s, d, params.alpha, params.kappa)
-        r = np.linalg.norm(d, axis=1)
-        logs[i] = np.log(r[0])
-        d /= r[:, None]
-    lam = float(np.sum(logs) / n_kicks)
-    if not with_error:
-        return lam
-    # convergence diagnostic: stderr of the slope of cumulative log growth
-    n = np.arange(1, n_kicks + 1, dtype=float)
-    cum = np.cumsum(logs)
-    slope, intercept = np.polyfit(n, cum, 1)
-    resid = cum - (slope * n + intercept)
-    denom = np.sum((n - n.mean()) ** 2)
-    stderr = float(np.sqrt(np.sum(resid**2) / max(n_kicks - 2, 1) / denom))
-    return lam, stderr
+    state: ClassicalState, params, n_kicks: int, n_transient: int = DEFAULT_TRANSIENT
+) -> float:
+    """Largest Lyapunov exponent of one orbit (per kick)."""
+    s0 = np.asarray(state.S, dtype=float)[None, :]
+    return float(_lyapunov_batch(s0, params.alpha, params.kappa, n_kicks, n_transient)[0])
 
 
 @dataclass(frozen=True)
@@ -258,9 +217,7 @@ def lyapunov_field(
 ) -> LyapunovField:
     """Largest Lyapunov exponent for every cell of a (phi, theta) grid."""
     phi, theta = grid_spec.mesh()
-    s0 = np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1
-    )
+    s0 = _unit_vectors(theta, phi)
     lam = _lyapunov_batch(s0, params.alpha, params.kappa, n_kicks, n_transient)
     return LyapunovField(
         grid=lam.reshape(grid_spec.n_phi, grid_spec.n_theta), grid_spec=grid_spec
@@ -297,9 +254,7 @@ def averaged_lyapunov(
     substream, so scans are reproducible regardless of scheduling.
     """
     theta, phi = haar_sphere(n_samples, rng_for_task(seed, task_index))
-    s0 = np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1
-    )
+    s0 = _unit_vectors(theta, phi)
     lam = _lyapunov_batch(s0, params.alpha, params.kappa, n_kicks, n_transient)
     return AveragedLyapunov(
         mean=float(lam.mean()),
@@ -355,9 +310,7 @@ def phase_portrait(
     portrait recipe of 289 random initial conditions over 300 kicks.
     """
     theta0, phi0 = haar_sphere(n_orbits, rng_for_task(seed))
-    s = np.stack(
-        [np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)], axis=1
-    )
+    s = _unit_vectors(theta0, phi0)
     phis = np.empty((n_orbits, n_kicks + 1))
     thetas = np.empty((n_orbits, n_kicks + 1))
     for n in range(n_kicks + 1):

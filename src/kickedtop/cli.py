@@ -299,6 +299,10 @@ def cmd_lyapunov(args) -> int:
         kappas = run.kappas("0:10:0.5")
         alphas = parse_values(str(run.opt("alpha-grid", "0.1:6.2:0.2", str)))
         samples = int(run.opt("samples", 1000, int))
+        # kappa_threshold finds no crossing on the integrable lines alpha = 0, pi, 2pi
+        kc_alphas = [a for a in alphas if min(abs(a), abs(a - np.pi), abs(a - 2 * np.pi)) > 0.05]
+        if run.pick("kappa-c", False) and not kc_alphas:
+            raise UsageError("--kappa-c needs an alpha at least 0.05 away from 0, pi and 2pi")
         points = [
             (idx, float(k), float(a))
             for idx, (k, a) in enumerate((k, a) for a in alphas for k in kappas)
@@ -321,8 +325,7 @@ def cmd_lyapunov(args) -> int:
         if run.pick("kappa-c", False):
             kc = [
                 (a, kappa_threshold(float(a), n_samples=samples, n_kicks=kicks, seed=run.seed))
-                for a in alphas
-                if min(abs(a), abs(a - np.pi), abs(a - 2 * np.pi)) > 0.05
+                for a in kc_alphas
             ]
             arr = np.array(kc)
             run.emit("kappa_c.csv", {"alpha": arr[:, 0], "kappa_c": arr[:, 1]})
@@ -439,7 +442,7 @@ def cmd_multifractal(args) -> int:
     elif mode == "scaling":
         kappas = run.kappas("7")
         if kappas.size != 1:
-            raise ValueError("scaling mode expects a single --kappa value")
+            raise UsageError("scaling mode expects a single --kappa value")
         kappa = float(kappas[0])
         js = [int(v) for v in parse_values(str(run.opt("j-list", SCALING_JS, str)))]
 

@@ -13,6 +13,7 @@ principal range [-pi, pi).
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +112,9 @@ class FloquetEigensystem:
         return np.sort(self.quasienergies[self.parities == want])
 
 
+_JX_LOCK = threading.Lock()  # lru_cache alone lets two threads miss on the same j
+
+
 @functools.lru_cache(maxsize=4)
 def _jx_eigensystem(j: float) -> tuple[np.ndarray, np.ndarray]:
     basis = SpinBasis(j)
@@ -138,7 +142,8 @@ def jx_eigenbasis(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
     computed eigenvalues are snapped onto it after a sanity check.
     Memoized for the last few j; the returned arrays are read-only.
     """
-    return _jx_eigensystem(basis.j)
+    with _JX_LOCK:
+        return _jx_eigensystem(basis.j)
 
 
 def wigner_d_matrix(basis: SpinBasis, alpha: float) -> np.ndarray:

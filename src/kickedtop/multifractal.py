@@ -98,12 +98,8 @@ def expand_in_floquet_basis(
     state: CoherentState, eig: FloquetEigensystem
 ) -> ExpansionCoefficients:
     """Overlap probabilities |<nu_i|theta,phi>|^2 of one coherent state."""
-    if state.amplitudes.size != eig.dim:
-        raise ValueError(
-            f"dimension mismatch: state dim {state.amplitudes.size}, eigenbasis dim {eig.dim}"
-        )
-    w = eig.eigenvectors.conj().T @ state.amplitudes
-    return ExpansionCoefficients(weights=np.abs(w) ** 2, basis_dim=eig.dim)
+    weights = expand_states(state.amplitudes[:, None], eig)[0]
+    return ExpansionCoefficients(weights=weights, basis_dim=eig.dim)
 
 
 def expand_states(amplitudes: np.ndarray, eig: FloquetEigensystem) -> np.ndarray:

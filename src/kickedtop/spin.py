@@ -81,45 +81,13 @@ def jx_tridiagonal(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(basis.dim), off
 
 
-def coherent_amplitudes(j: float, theta: float, phi: float) -> np.ndarray:
-    """Dicke-basis amplitudes of |theta, phi>, stable for large j.
-
-    Amplitudes are zeta^(j-m) (1+|zeta|^2)^(-j) sqrt((2j)!/((j+m)!(j-m)!))
-    with zeta = tan(theta/2) e^(i phi).  The factorial ratio and the
-    power of |zeta| are accumulated in log space so the construction
-    stays finite well past j ~ 85 where (2j)! overflows doubles.
-    """
-    dim = round(2 * j) + 1
-    m = np.arange(dim) - j
-    amps = np.zeros(dim, dtype=complex)
-    # poles of zeta = tan(theta/2): handle both caps by the exact limits
-    if theta == 0.0:
-        amps[-1] = 1.0  # |j, +j>
-        return amps
-    if theta == np.pi:
-        amps[0] = 1.0  # |j, -j>
-        return amps
-    t = np.tan(theta / 2.0)
-    # ln|c_m| = (j-m) ln t - j ln(1+t^2) + (1/2) ln binom(2j, j-m)
-    ln_binom = np.array(
-        [lgamma(2 * j + 1) - lgamma(j + mm + 1) - lgamma(j - mm + 1) for mm in m]
-    )
-    log_mag = (j - m) * np.log(t) - j * np.log1p(t * t) + 0.5 * ln_binom
-    amps = np.exp(log_mag + 1j * (j - m) * phi)
-    return amps
-
-
 def coherent_state(basis: SpinBasis, theta: float, phi: float) -> CoherentState:
     """SU(2) coherent spin state centered at sphere point (theta, phi).
 
-    theta in [0, pi], phi in [0, 2pi).  The returned amplitude vector is
-    normalized to 1 (the binomial construction is exactly normalized;
-    a final renormalization absorbs rounding).
+    theta in [0, pi], phi in [0, 2pi).  One column of
+    :func:`coherent_state_matrix`, normalized to 1.
     """
-    if not 0.0 <= theta <= np.pi:
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    amps = coherent_amplitudes(basis.j, theta, phi)
-    amps = amps / np.linalg.norm(amps)
+    amps = coherent_state_matrix(basis, [theta], [phi])[:, 0]
     return CoherentState(amplitudes=amps, theta=float(theta), phi=float(phi))
 
 
@@ -127,11 +95,19 @@ def coherent_state_matrix(basis: SpinBasis, thetas, phis) -> np.ndarray:
     """Column-stacked coherent states for many (theta, phi) points.
 
     Returns a dim x n complex array whose k-th column is the amplitude
-    vector of |theta_k, phi_k>.  Used by the grid and Monte-Carlo
-    drivers, where building states one by one would dominate runtime.
+    vector of |theta_k, phi_k>, normalized to 1.
+
+    Amplitudes are zeta^(j-m) (1+|zeta|^2)^(-j) sqrt((2j)!/((j+m)!(j-m)!))
+    with zeta = tan(theta/2) e^(i phi).  The factorial ratio and the
+    power of |zeta| are accumulated in log space so the construction
+    stays finite well past j ~ 85 where (2j)! overflows doubles.  The
+    poles theta = 0, pi take the exact limits |j, +j> and |j, -j>.
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
+    bad = ~((thetas >= 0.0) & (thetas <= np.pi))
+    if np.any(bad):
+        raise ValueError(f"theta must lie in [0, pi], got {thetas[bad][0]}")
     j = basis.j
     dim = basis.dim
     m = np.arange(dim) - j

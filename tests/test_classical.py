@@ -5,7 +5,6 @@ from scipy import ndimage
 from kickedtop.classical import (
     ClassicalState,
     GridSpec,
-    TangentFrame,
     averaged_lyapunov,
     classical_step,
     haar_sphere,
@@ -15,7 +14,6 @@ from kickedtop.classical import (
     lyapunov_field,
     phase_portrait,
     rng_for_task,
-    tangent_step,
     _lyapunov_batch,
     _step_batch,
 )
@@ -81,17 +79,6 @@ def test_jacobian_matches_finite_differences():
         assert np.max(np.abs(analytic - fd)) < 1e-6
 
 
-def test_tangent_step_rotation_is_isometry():
-    p = params(kappa=0.0)
-    state = ClassicalState(np.array([0.6, 0.0, 0.8]))
-    frame = TangentFrame(deltaS=np.array([0.0, 1.0, 0.0]))
-    for _ in range(50):
-        frame = tangent_step(state, frame, p)
-        state = classical_step(state, p)
-    assert abs(frame.log_norm_accum) < 1e-12
-    assert abs(np.linalg.norm(frame.deltaS) - 1.0) < 1e-12
-
-
 def test_lyapunov_zero_for_isometry():
     lam = lyapunov_exponent(ClassicalState(np.array([0.6, 0.8, 0.0])), params(1.3, 0.0), 2000)
     assert abs(lam) < 1e-12
@@ -109,16 +96,15 @@ def test_lyapunov_strong_kick_matches_asymptote():
 
 
 def test_tangent_growth_is_linear_in_time():
-    # cumulative log stretch grows linearly with slope lambda on chaotic orbits
+    # chaotic orbit: the mean log stretch per kick settles well above zero;
+    # its convergence in the kick count is test_estimator_stability_under_doubling
     p = params(kappa=7.0)
-    lam, stderr = lyapunov_exponent(
+    lam = lyapunov_exponent(
         ClassicalState(np.array([0.43, -0.31, 0.85]) / np.linalg.norm([0.43, -0.31, 0.85])),
         p,
         5000,
-        with_error=True,
     )
     assert lam > 0.8
-    assert stderr < 0.01 * lam
 
 
 def test_estimator_stability_under_doubling():

@@ -189,6 +189,19 @@ def test_config_values_use_flag_types(tmp_path):
     assert not (out / "cache").exists()
 
 
+def test_usage_error_kappa_c_without_chaotic_alpha(tmp_path, capsys):
+    # every alpha on an integrable line: no threshold to locate
+    assert run("lyapunov", "--mode", "scan", "--alpha-grid", "0", "--kappa-c",
+               "--kappa", "1", "--samples", "4", "--kicks", "10", "--out", tmp_path) == 1
+    assert "--kappa-c" in capsys.readouterr().err
+
+
+def test_usage_error_scaling_several_kappas(tmp_path, capsys):
+    assert run("multifractal", "--mode", "scaling", "--kappa", "1,2",
+               "--j-list", "4,5", "--samples", "4", "--out", tmp_path) == 1
+    assert "single --kappa" in capsys.readouterr().err
+
+
 def test_usage_error_bad_domain(tmp_path):
     # physical-domain violations in resolved options are usage errors
     assert run("spectrum", "--j", "0", "--kappa", "1", "--out", tmp_path) == 1

@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -270,6 +273,21 @@ def test_jx_eigenbasis_memoized_read_only():
     again = jx_eigenbasis(SpinBasis(17.0))
     assert again[0] is k and again[1] is v
     assert not k.flags.writeable and not v.flags.writeable
+
+
+def test_jx_eigenbasis_computed_once_across_threads():
+    floquet._jx_eigensystem.cache_clear()
+    n_threads = 4  # more than the cores of a small CI runner
+    barrier = threading.Barrier(n_threads)
+
+    def fetch(_):
+        barrier.wait()
+        return jx_eigenbasis(SpinBasis(300))
+
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        results = list(pool.map(fetch, range(n_threads)))
+    assert all(r[1] is results[0][1] for r in results)
+    assert floquet._jx_eigensystem.cache_info().misses == 1
 
 
 def test_determinant_modulus_one():

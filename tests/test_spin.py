@@ -109,6 +109,12 @@ def test_theta_out_of_range():
         coherent_state(SpinBasis(3), -0.1, 0.0)
     with pytest.raises(ValueError):
         coherent_state(SpinBasis(3), np.pi + 0.1, 0.0)
+    with pytest.raises(ValueError):
+        coherent_state(SpinBasis(3), np.nan, 0.0)
+    # one bad column among good ones must not come back as a zero column
+    for bad in (-0.1, np.pi + 0.1, np.nan):
+        with pytest.raises(ValueError):
+            coherent_state_matrix(SpinBasis(3), [bad, 1.0], [0.0, 0.0])
 
 
 def test_batch_matches_single():
