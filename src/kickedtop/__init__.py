@@ -47,6 +47,7 @@ from .multifractal import (
     MultifractalResult,
     ScalingFit,
     averaged_dq,
+    coherent_weights,
     dq_field,
     expand_in_floquet_basis,
     fractal_dimensions,

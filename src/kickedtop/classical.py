@@ -253,6 +253,8 @@ def averaged_lyapunov(
     theta dtheta dphi measure), drawn from the (seed, task_index)
     substream, so scans are reproducible regardless of scheduling.
     """
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     theta, phi = haar_sphere(n_samples, rng_for_task(seed, task_index))
     s0 = _unit_vectors(theta, phi)
     lam = _lyapunov_batch(s0, params.alpha, params.kappa, n_kicks, n_transient)

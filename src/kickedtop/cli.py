@@ -45,9 +45,9 @@ from .coeffstats import (
 )
 from .floquet import DiagonalizationError, KickedTopParams
 from .io import write_csv, write_manifest
-from .multifractal import averaged_dq, dq_field, expand_states, scaling_fit
+from .multifractal import averaged_dq, coherent_weights, dq_field, scaling_fit
 from .spectral import fit_brody, ratio_stats, spacings_from_quasienergies
-from .spin import SpinBasis, coherent_state_matrix
+from .spin import SpinBasis
 
 ALPHA_DEFAULT = 4 * np.pi / 7
 FIGURE_KAPPAS = "0.4,1.7,3,7"
@@ -205,6 +205,13 @@ class Run:
         self.resolved[name] = value
         return value
 
+    def count(self, name, default, minimum) -> int:
+        """Resolve an integer option that must be at least ``minimum``."""
+        value = int(self.opt(name, default, int))
+        if value < minimum:
+            raise UsageError(f"--{name} must be at least {minimum}, got {value}")
+        return value
+
     def kappas(self, default=FIGURE_KAPPAS) -> np.ndarray:
         values = self.pick("kappa", default)
         values = parse_values(values) if isinstance(values, str) else np.asarray(values)
@@ -285,7 +292,7 @@ def cmd_lyapunov(args) -> int:
     kicks = int(run.opt("kicks", 5000, int))
     j = int(run.opt("j", 1, int))  # classical map: j only recorded for provenance
     if mode == "field":
-        n_grid = int(run.opt("grid", 200, int))
+        n_grid = run.count("grid", 200, 1)
         for kappa in run.kappas():
             params = _params(run.alpha, float(kappa), j)
             field = lyapunov_field(params, GridSpec(n_phi=n_grid, n_theta=n_grid), n_kicks=kicks)
@@ -298,7 +305,7 @@ def cmd_lyapunov(args) -> int:
     elif mode == "scan":
         kappas = run.kappas("0:10:0.5")
         alphas = parse_values(str(run.opt("alpha-grid", "0.1:6.2:0.2", str)))
-        samples = int(run.opt("samples", 1000, int))
+        samples = run.count("samples", 1000, 2)  # a standard error needs two samples
         # kappa_threshold finds no crossing on the integrable lines alpha = 0, pi, 2pi
         kc_alphas = [a for a in alphas if min(abs(a), abs(a - np.pi), abs(a - 2 * np.pi)) > 0.05]
         if run.pick("kappa-c", False) and not kc_alphas:
@@ -398,12 +405,12 @@ def cmd_multifractal(args) -> int:
     run = Run(args)
     mode = run.opt("mode", "field", str)
     qs = _parse_qs(run.opt("q", "1,2,inf", str))
-    samples = int(run.opt("samples", 10_000, int))
+    samples = run.count("samples", 10_000, 2)  # a standard error needs two samples
     cache = run.cache_dir()
 
     if mode == "field":
         j = int(run.opt("j", 150, int))
-        n_grid = int(run.opt("grid", 100, int))
+        n_grid = run.count("grid", 100, 1)
         basis = SpinBasis(j)
         for kappa in run.kappas():
             eig = cached_eigensystem(_params(run.alpha, float(kappa), j), cache)
@@ -495,7 +502,7 @@ def cmd_multifractal(args) -> int:
 def cmd_coeffdist(args) -> int:
     run = Run(args)
     nu = int(run.opt("nu", 2, int))
-    samples = int(run.opt("samples", 10_000, int))
+    samples = run.count("samples", 10_000, 1)
     js = [int(v) for v in parse_values(str(run.opt("j-list", "150", str)))]
     kappas = [float(k) for k in run.kappas()]
     cache = run.cache_dir()
@@ -507,8 +514,7 @@ def cmd_coeffdist(args) -> int:
         idx, j, kappa = task
         eig = cached_eigensystem(_params(run.alpha, kappa, j), cache)
         theta, phi = haar_sphere(samples, rng_for_task(run.seed, idx))
-        amps = coherent_state_matrix(SpinBasis(j), theta, phi)
-        pool = pool_rescaled(expand_states(amps, eig))
+        pool = pool_rescaled(coherent_weights(SpinBasis(j), eig, theta, phi))
         return j, kappa, pool
 
     results = run.parallel(one, tasks)

@@ -9,11 +9,16 @@ Basis ordering convention used everywhere in this package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lgamma
 
 import numpy as np
+from scipy.special import gammaln
 
 __all__ = ["SpinBasis", "CoherentState", "angular_momentum", "coherent_state"]
+
+# Amplitudes below this fraction of their column's largest are exact zeros:
+# dropping them moves weights by about one rounding unit, and subnormal
+# entries would put the expansion GEMM on a slow path.
+AMPLITUDE_CUTOFF = 1e-17
 
 
 @dataclass(frozen=True)
@@ -102,30 +107,52 @@ def coherent_state_matrix(basis: SpinBasis, thetas, phis) -> np.ndarray:
     power of |zeta| are accumulated in log space so the construction
     stays finite well past j ~ 85 where (2j)! overflows doubles.  The
     poles theta = 0, pi take the exact limits |j, +j> and |j, -j>.
+    Amplitudes below ``AMPLITUDE_CUTOFF`` times the column's largest are
+    exact zeros, so no entry is subnormal.
+    """
+    band, lo, hi = _coherent_band(basis, thetas, phis)
+    out = np.zeros((basis.dim, band.shape[1]), dtype=complex)
+    out[lo:hi] = band
+    return out
+
+
+def _coherent_band(basis: SpinBasis, thetas, phis) -> tuple[np.ndarray, int, int]:
+    """Coherent states restricted to the Dicke rows they occupy.
+
+    Returns ``(band, lo, hi)``: ``band[:, k]`` holds rows lo..hi-1 of
+    column k of :func:`coherent_state_matrix`, and every row outside
+    [lo, hi) is zero in every column.  A state is non-negligible only
+    within O(sqrt j) rows of m = j cos(theta), so states of similar
+    theta share a narrow window.
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
     bad = ~((thetas >= 0.0) & (thetas <= np.pi))
     if np.any(bad):
         raise ValueError(f"theta must lie in [0, pi], got {thetas[bad][0]}")
+    bad = ~np.isfinite(phis)
+    if np.any(bad):
+        raise ValueError(f"phi must be finite, got {phis[bad][0]}")
     j = basis.j
-    dim = basis.dim
-    m = np.arange(dim) - j
-    ln_binom = np.array(
-        [lgamma(2 * j + 1) - lgamma(j + mm + 1) - lgamma(j - mm + 1) for mm in m]
+    m = basis.m_values
+    ln_binom = gammaln(2 * j + 1) - gammaln(j + m + 1) - gammaln(j - m + 1)
+    t = np.tan(thetas / 2.0)
+    north = t == 0.0  # also theta = 5e-324, whose half underflows
+    south = thetas == np.pi
+    interior = ~(north | south)
+    t = np.where(interior, t, 1.0)
+    log_mag = (
+        np.outer(j - m, np.log(t))
+        - j * np.log1p(t * t)[None, :]
+        + 0.5 * ln_binom[:, None]
     )
-    out = np.zeros((dim, thetas.size), dtype=complex)
-    interior = (thetas > 0.0) & (thetas < np.pi)
-    out[-1, thetas == 0.0] = 1.0
-    out[0, thetas == np.pi] = 1.0
-    if np.any(interior):
-        t = np.tan(thetas[interior] / 2.0)
-        log_mag = (
-            np.outer(j - m, np.log(t))
-            - j * np.log1p(t * t)[None, :]
-            + 0.5 * ln_binom[:, None]
-        )
-        block = np.exp(log_mag + 1j * np.outer(j - m, phis[interior]))
-        block /= np.linalg.norm(block, axis=0, keepdims=True)
-        out[:, interior] = block
-    return out
+    log_mag[:, ~interior] = -np.inf
+    log_mag[-1, north] = 0.0
+    log_mag[0, south] = 0.0
+    log_mag[log_mag < log_mag.max(axis=0) + np.log(AMPLITUDE_CUTOFF)] = -np.inf
+    occupied = np.flatnonzero(np.any(log_mag > -np.inf, axis=1))
+    lo, hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
+    phase = np.outer(j - m[lo:hi], np.where(interior, phis, 0.0))  # poles carry no phase
+    band = np.exp(log_mag[lo:hi] + 1j * phase)
+    band /= np.linalg.norm(band, axis=0, keepdims=True)
+    return band, lo, hi

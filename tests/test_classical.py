@@ -142,6 +142,12 @@ def test_averaged_zero_kappa():
     assert abs(avg.mean) < 1e-10
 
 
+def test_averaged_needs_two_samples():
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            averaged_lyapunov(params(), n_samples=n, n_kicks=10)
+
+
 @pytest.mark.parametrize("alpha", [0.0, np.pi])
 def test_averaged_integrable_lines(alpha):
     for kappa in (1.0, 5.0, 9.0):

@@ -202,6 +202,52 @@ def test_usage_error_scaling_several_kappas(tmp_path, capsys):
     assert "single --kappa" in capsys.readouterr().err
 
 
+@pytest.fixture
+def no_eigensystem(monkeypatch):
+    """Fail any attempt to build or load an eigensystem."""
+    from kickedtop import cli
+
+    def refuse(params, cache_dir=None):
+        raise AssertionError("an eigensystem was requested")
+
+    monkeypatch.setattr(cli, "cached_eigensystem", refuse)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--mode", "scaling", "--kappa", "7", "--j-list", "4,5", "--samples", "0"),
+        ("--mode", "scaling", "--kappa", "7", "--j-list", "4,5", "--samples", "1"),
+        ("--mode", "scan", "--kappa", "7", "--j-list", "4", "--samples", "-1"),
+        ("--j", "4", "--kappa", "7", "--grid", "0"),
+    ],
+)
+def test_usage_error_multifractal_sizes(tmp_path, capsys, no_eigensystem, args):
+    assert run("multifractal", *args, "--out", tmp_path) == 1
+    assert "must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--mode", "scan", "--kappa", "3", "--alpha-grid", "1", "--samples", "1"),
+        ("--kappa", "3", "--grid", "0"),
+    ],
+)
+def test_usage_error_lyapunov_sizes(tmp_path, capsys, args):
+    assert run("lyapunov", *args, "--kicks", "10", "--out", tmp_path) == 1
+    assert "must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_usage_error_coeffdist_samples(tmp_path, capsys, no_eigensystem, samples):
+    assert run("coeffdist", "--j-list", "4", "--kappa", "3", "--samples", samples,
+               "--out", tmp_path) == 1
+    assert "--samples must be at least 1" in capsys.readouterr().err
+
+
 def test_usage_error_bad_domain(tmp_path):
     # physical-domain violations in resolved options are usage errors
     assert run("spectrum", "--j", "0", "--kappa", "1", "--out", tmp_path) == 1

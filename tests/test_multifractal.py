@@ -1,12 +1,18 @@
-import numpy as np
-import pytest
+import functools
 from math import lgamma
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from kickedtop.classical import GridSpec, haar_sphere, rng_for_task
-from kickedtop.floquet import KickedTopParams, diagonalize
+from kickedtop.floquet import FloquetEigensystem, KickedTopParams, diagonalize
 from kickedtop.multifractal import (
+    BLOCK_STATES,
     ExpansionCoefficients,
     averaged_dq,
+    coherent_weights,
     dq_field,
     expand_in_floquet_basis,
     expand_states,
@@ -23,6 +29,75 @@ QGRID = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, np.inf)
 def eigensystem(j, kappa, alpha=ALPHA):
     p = KickedTopParams(alpha=alpha, kappa=kappa, j=j)
     return diagonalize(p)
+
+
+@functools.lru_cache(maxsize=None)
+def random_eigensystem(j):
+    """Haar-random unitary basis: dense in every row, no parity structure."""
+    dim = round(2 * j) + 1
+    rng = np.random.default_rng(dim)
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    q *= np.sign(np.diag(r).real)
+    return FloquetEigensystem(np.zeros(dim), q, np.ones(dim, dtype=int))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    j=st.sampled_from([0.5, 1, 7.5, 30, 150, 400]),
+    n_random=st.integers(0, 2 * BLOCK_STATES + 5),
+    chosen=st.lists(
+        st.one_of(st.sampled_from([0.0, 5e-324, 1e-9, np.pi - 1e-9, np.pi]), st.floats(0.0, np.pi)),
+        min_size=1,
+        max_size=8,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coherent_weights_match_dense_oracle(j, n_random, chosen, seed):
+    # random thetas fill several blocks; the chosen ones (poles, 1e-9 off
+    # a pole, the smallest positive double, any float in [0, pi]) land at
+    # random positions among them
+    rng = np.random.default_rng(seed)
+    thetas = np.concatenate([rng.uniform(0.0, np.pi, n_random), chosen])
+    rng.shuffle(thetas)
+    phis = rng.uniform(-10.0, 10.0, thetas.size)
+    eig = random_eigensystem(j)
+    basis = SpinBasis(j)
+    oracle = expand_states(coherent_state_matrix(basis, thetas, phis), eig)
+    weights = coherent_weights(basis, eig, thetas, phis)
+    assert weights.shape == oracle.shape
+    assert np.max(np.abs(weights - oracle)) < 1e-12
+
+
+def test_coherent_weights_permutation_equivariant():
+    eig = random_eigensystem(30)
+    theta, phi = haar_sphere(3 * BLOCK_STATES + 17, rng_for_task(2))
+    perm = np.random.default_rng(3).permutation(theta.size)
+    weights = coherent_weights(SpinBasis(30), eig, theta, phi)
+    assert np.array_equal(coherent_weights(SpinBasis(30), eig, theta[perm], phi[perm]), weights[perm])
+
+
+def test_averaged_dq_and_field_match_dense_oracle():
+    j, qs = 60, (0.5, 1.0, 2.0, np.inf)
+    eig = eigensystem(j, 3.0)
+    basis = SpinBasis(j)
+    res = averaged_dq(basis, eig, n_samples=700, q_values=qs, seed=5, task_index=2)
+    theta, phi = haar_sphere(700, rng_for_task(5, 2))
+    s, d = renyi_dimensions(expand_states(coherent_state_matrix(basis, theta, phi), eig), qs)
+    np.testing.assert_allclose(res.D_q, d.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(res.S_q, s.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(res.stderr, d.std(axis=0, ddof=1) / np.sqrt(700), rtol=1e-12)
+    grid = GridSpec(n_phi=13, n_theta=17)
+    field = dq_field(basis, eig, grid, qs)
+    phi, theta = grid.mesh()
+    _, d = renyi_dimensions(expand_states(coherent_state_matrix(basis, theta, phi), eig), qs)
+    np.testing.assert_allclose(field.values.reshape(-1, len(qs)), d, rtol=1e-12)
+
+
+def test_averaged_dq_needs_two_samples():
+    eig = eigensystem(10, 3.0)
+    for n in (1, 0, -1):
+        with pytest.raises(ValueError, match="n_samples"):
+            averaged_dq(SpinBasis(10), eig, n_samples=n)
 
 
 def test_localized_state_zero_dimensions():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
+from kickedtop.classical import haar_sphere, rng_for_task
 from kickedtop.spin import (
+    AMPLITUDE_CUTOFF,
     SpinBasis,
     angular_momentum,
     coherent_state,
@@ -115,6 +118,39 @@ def test_theta_out_of_range():
     for bad in (-0.1, np.pi + 0.1, np.nan):
         with pytest.raises(ValueError):
             coherent_state_matrix(SpinBasis(3), [bad, 1.0], [0.0, 0.0])
+
+
+def test_phi_not_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"phi must be finite, got {bad}"):
+            coherent_state(SpinBasis(3), 1.0, bad)
+        with pytest.raises(ValueError, match="phi"):
+            coherent_state_matrix(SpinBasis(3), [1.0, 1.0], [0.0, bad])
+
+
+def test_no_subnormal_amplitudes_and_cutoff_is_relative():
+    # without the cutoff about 1% of these entries are subnormal, which
+    # puts the expansion GEMM on the slow path
+    j = 800
+    theta, phi = haar_sphere(2000, rng_for_task(11))
+    amps = coherent_state_matrix(SpinBasis(j), theta, phi)
+    tiny = np.finfo(float).tiny
+    for part in (amps.real, amps.imag):
+        assert np.count_nonzero((part != 0) & (np.abs(part) < tiny)) == 0
+    # independent magnitudes, log space without any cutoff: every zero
+    # entry lies below the relative cutoff, every kept one matches
+    m = np.arange(-j, j + 1)
+    t = np.tan(theta / 2)
+    log_mag = (
+        np.outer(j - m, np.log(t))
+        - j * np.log1p(t * t)
+        + 0.5 * (gammaln(2 * j + 1) - gammaln(j + m + 1) - gammaln(j - m + 1))[:, None]
+    )
+    log_rel = log_mag - log_mag.max(axis=0)
+    kept = amps != 0
+    assert np.all(log_rel[~kept] < np.log(AMPLITUDE_CUTOFF) + 1e-9)
+    assert np.all(log_rel[kept] > np.log(AMPLITUDE_CUTOFF) - 1e-9)
+    assert np.max(np.abs(np.abs(amps[kept]) / np.exp(log_mag[kept]) - 1.0)) < 1e-11
 
 
 def test_batch_matches_single():
