@@ -12,10 +12,11 @@ i.e. a rotation about x by a followed by a z-rotation whose angle is set
 by the post-precession S_z.  M is orthogonal, so trajectories stay on
 the unit sphere to machine precision.
 
-All estimators operate on batches of trajectories (shape (n, 3) arrays)
-internally; the scalar operations are thin wrappers.  Lyapunov exponents
-use the single-tangent-vector Benettin estimator with per-step
-renormalization, per kick (unit time between kicks).
+One in-place kick, ``_kick``, advances a batch of trajectories held as
+three coordinate arrays (and optionally their tangent vectors); every
+other operation is a view of it.  Lyapunov exponents use the
+single-tangent-vector Benettin estimator with per-step renormalization,
+per kick (unit time between kicks).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_TRANSIENT = 100  # kicks discarded before Lyapunov accumulation
+CHUNK_TRAJECTORIES = 16384  # trajectories per kernel chunk: ~14 work arrays in 2 MB of L2
 
 
 @dataclass(frozen=True)
@@ -69,39 +71,69 @@ def _unit_vectors(theta, phi) -> np.ndarray:
     )
 
 
+def _kick(x, y, z, alpha, kappa, scratch, tangent=None):
+    """Advance sphere points (x, y, z) one kick, in place.
+
+    x, y, z are 1-D arrays of equal length; ``scratch`` is a sequence of
+    five work arrays of that length, clobbered.  ``tangent``, when given,
+    is (dx, dy, dz), advanced in place by the tangent map at the old
+    points (no renormalization).  Writing W = R_x(a) S, X = kappa W_z:
+
+        S' = (cos X W_x - sin X W_y, sin X W_x + cos X W_y, W_z)
+        d' = (cos X dW_x - sin X dW_y - S'_y dX,
+              sin X dW_x + cos X dW_y + S'_x dX, dW_z)
+
+    with dW = R_x(a) d and dX = kappa dW_z.  The dX terms reuse S':
+    dS'_x/dX = -S'_y and dS'_y/dX = S'_x hold bit for bit, since IEEE
+    negation is exact, which saves four products per kick.
+    """
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    wy, sx, cx, t, u = scratch
+    # one ufunc per operation of the formulas above, in their order:
+    # reordering a sum or product would move the last bits of lambda
+    np.multiply(ca, y, out=wy)
+    np.multiply(sa, z, out=t)
+    np.subtract(wy, t, out=wy)  # W_y = ca y - sa z
+    np.multiply(sa, y, out=sx)
+    np.multiply(ca, z, out=t)
+    np.add(sx, t, out=z)  # z' = W_z = sa y + ca z
+    np.multiply(kappa, z, out=t)
+    np.cos(t, out=cx)
+    np.sin(t, out=sx)
+    np.multiply(sx, wy, out=t)
+    np.multiply(sx, x, out=y)
+    np.multiply(cx, x, out=x)
+    np.subtract(x, t, out=x)
+    np.multiply(cx, wy, out=t)
+    np.add(y, t, out=y)  # x, y now hold S'_x, S'_y
+    if tangent is None:
+        return
+    dx, dy, dz = tangent
+    dwy = wy
+    np.multiply(ca, dy, out=dwy)
+    np.multiply(sa, dz, out=t)
+    np.subtract(dwy, t, out=dwy)
+    np.multiply(sa, dy, out=t)
+    np.multiply(ca, dz, out=dy)
+    np.add(t, dy, out=dz)  # dz' = dW_z
+    np.multiply(kappa, dz, out=u)  # dX
+    np.multiply(sx, dx, out=dy)
+    np.multiply(cx, dwy, out=t)
+    np.add(dy, t, out=dy)
+    np.multiply(x, u, out=t)
+    np.add(dy, t, out=dy)
+    np.multiply(cx, dx, out=dx)
+    np.multiply(sx, dwy, out=t)
+    np.subtract(dx, t, out=dx)
+    np.multiply(y, u, out=t)
+    np.subtract(dx, t, out=dx)
+
+
 def _step_batch(s: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
     """Advance a batch of sphere points one kick; s has shape (n, 3)."""
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    wx = s[:, 0]
-    wy = ca * s[:, 1] - sa * s[:, 2]
-    wz = sa * s[:, 1] + ca * s[:, 2]
-    xi = kappa * wz
-    cx, sx = np.cos(xi), np.sin(xi)
-    return np.stack([cx * wx - sx * wy, sx * wx + cx * wy, wz], axis=1)
-
-
-def _step_tangent_batch(s, d, alpha, kappa):
-    """One kick of states s and tangent vectors d together (no renorm)."""
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    wx = s[:, 0]
-    wy = ca * s[:, 1] - sa * s[:, 2]
-    wz = sa * s[:, 1] + ca * s[:, 2]
-    xi = kappa * wz
-    cx, sx = np.cos(xi), np.sin(xi)
-    dwx = d[:, 0]
-    dwy = ca * d[:, 1] - sa * d[:, 2]
-    dwz = sa * d[:, 1] + ca * d[:, 2]
-    dxi = kappa * dwz
-    s_new = np.stack([cx * wx - sx * wy, sx * wx + cx * wy, wz], axis=1)
-    d_new = np.stack(
-        [
-            cx * dwx - sx * dwy + (-sx * wx - cx * wy) * dxi,
-            sx * dwx + cx * dwy + (cx * wx - sx * wy) * dxi,
-            dwz,
-        ],
-        axis=1,
-    )
-    return s_new, d_new
+    x, y, z = np.array(s, dtype=float).T.copy()
+    _kick(x, y, z, alpha, kappa, np.empty((5, x.size)))
+    return np.stack([x, y, z], axis=1)
 
 
 def classical_step(state: ClassicalState, params) -> ClassicalState:
@@ -136,20 +168,35 @@ def _lyapunov_batch(
     """Benettin estimates for a batch of initial conditions, shape (n, 3).
 
     The transient lets the tangent vector align with the most expanding
-    direction before accumulation starts.
+    direction before accumulation starts.  Trajectories run in chunks of
+    ``CHUNK_TRAJECTORIES``; each is independent, so a trajectory's
+    estimate does not depend on the batch it is run in.
     """
+    if n_kicks < 1:
+        raise ValueError(f"n_kicks must be at least 1, got {n_kicks}")
     s = np.array(s0, dtype=float)
-    d = np.full_like(s, 1.0 / np.sqrt(3.0))
-    for _ in range(n_transient):
-        s, d = _step_tangent_batch(s, d, alpha, kappa)
-        d /= np.linalg.norm(d, axis=1, keepdims=True)
-    acc = np.zeros(s.shape[0])
-    for _ in range(n_kicks):
-        s, d = _step_tangent_batch(s, d, alpha, kappa)
-        r = np.linalg.norm(d, axis=1)
-        acc += np.log(r)
-        d /= r[:, None]
-    return acc / n_kicks
+    lam = np.empty(s.shape[0])
+    for lo in range(0, s.shape[0], CHUNK_TRAJECTORIES):
+        x, y, z = s[lo : lo + CHUNK_TRAJECTORIES].T.copy()
+        d = np.full((3, x.size), 1.0 / np.sqrt(3.0))
+        scratch = np.empty((5, x.size))
+        r, t = np.empty((2, x.size))
+        acc = np.zeros(x.size)
+        for n in range(max(n_transient, 0) + n_kicks):
+            _kick(x, y, z, alpha, kappa, scratch, d)
+            # |d| summed as (dx^2 + dy^2) + dz^2, the order of np.linalg.norm
+            np.multiply(d[0], d[0], out=r)
+            np.multiply(d[1], d[1], out=t)
+            np.add(r, t, out=r)
+            np.multiply(d[2], d[2], out=t)
+            np.add(r, t, out=r)
+            np.sqrt(r, out=r)
+            if n >= n_transient:
+                np.log(r, out=t)
+                np.add(acc, t, out=acc)
+            np.divide(d, r, out=d)
+        np.divide(acc, n_kicks, out=lam[lo : lo + CHUNK_TRAJECTORIES])
+    return lam
 
 
 def lyapunov_exponent(
@@ -312,13 +359,14 @@ def phase_portrait(
     portrait recipe of 289 random initial conditions over 300 kicks.
     """
     theta0, phi0 = haar_sphere(n_orbits, rng_for_task(seed))
-    s = _unit_vectors(theta0, phi0)
+    x, y, z = _unit_vectors(theta0, phi0).T.copy()
+    scratch = np.empty((5, n_orbits))
     phis = np.empty((n_orbits, n_kicks + 1))
     thetas = np.empty((n_orbits, n_kicks + 1))
     for n in range(n_kicks + 1):
-        phis[:, n] = np.arctan2(s[:, 1], s[:, 0]) % (2 * np.pi)
-        thetas[:, n] = np.arccos(np.clip(s[:, 2], -1.0, 1.0))
+        phis[:, n] = np.arctan2(y, x) % (2 * np.pi)
+        thetas[:, n] = np.arccos(np.clip(z, -1.0, 1.0))
         if n < n_kicks:
-            s = _step_batch(s, params.alpha, params.kappa)
+            _kick(x, y, z, params.alpha, params.kappa, scratch)
     orbit_id = np.repeat(np.arange(n_orbits), n_kicks + 1)
     return phis.ravel(), thetas.ravel(), orbit_id

@@ -269,8 +269,8 @@ def _params(alpha: float, kappa: float, j: int) -> KickedTopParams:
 def cmd_portrait(args) -> int:
     run = Run(args)
     kappas = run.kappas()
-    orbits = int(run.opt("orbits", 289, int))
-    kicks = int(run.opt("kicks", 300, int))
+    orbits = run.count("orbits", 289, 1)
+    kicks = run.count("kicks", 300, 0)
     j = int(run.opt("j", 1, int))  # classical map: j only recorded for provenance
     for kappa in kappas:
         params = _params(run.alpha, float(kappa), j)
@@ -289,7 +289,7 @@ def cmd_portrait(args) -> int:
 def cmd_lyapunov(args) -> int:
     run = Run(args)
     mode = run.opt("mode", "field", str)
-    kicks = int(run.opt("kicks", 5000, int))
+    kicks = run.count("kicks", 5000, 1)
     j = int(run.opt("j", 1, int))  # classical map: j only recorded for provenance
     if mode == "field":
         n_grid = run.count("grid", 200, 1)
@@ -348,7 +348,7 @@ def cmd_spectrum(args) -> int:
     run = Run(args)
     j = int(run.opt("j", 1000, int))
     sector = str(run.opt("sector", "even", str))
-    bins = np.linspace(0.0, 4.0, int(run.opt("bins", 50, int)) + 1)
+    bins = np.linspace(0.0, 4.0, run.count("bins", 50, 1) + 1)
     kappas = run.kappas()
     cache = run.cache_dir()
 
@@ -395,9 +395,12 @@ def _parse_qs(text: str) -> tuple:
     for part in str(text).split(","):
         part = part.strip().lower()
         try:
-            qs.append(np.inf if part in ("inf", "infinity") else float(part))
+            q = np.inf if part in ("inf", "infinity") else float(part)
         except ValueError as exc:
             raise UsageError(f"cannot parse q value {part!r}") from exc
+        if not q >= 0:
+            raise UsageError(f"q values must be >= 0, got {part!r}")
+        qs.append(q)
     return tuple(qs)
 
 

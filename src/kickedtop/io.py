@@ -23,6 +23,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _column_text(a: np.ndarray):
+    """Cell texts of one column, as ``_fmt`` writes them.
+
+    Float and integer columns are formatted in one pass over
+    ``a.tolist()``; other dtypes (bool, str, object, complex) go through
+    ``_fmt`` cell by cell, since ``tolist`` would turn numpy bools into
+    Python bools, which ``_fmt`` writes as integers.
+    """
+    if a.ndim == 1 and a.dtype.kind == "f":
+        return map(repr, a.tolist())
+    if a.ndim == 1 and a.dtype.kind in "iu":
+        return map(str, a.tolist())
+    return map(_fmt, a)
+
+
 def write_csv(path, columns: dict, metadata: dict) -> Path:
     """Write named columns with a '#' metadata header; returns the path."""
     path = Path(path)
@@ -34,8 +49,7 @@ def write_csv(path, columns: dict, metadata: dict) -> Path:
         raise ValueError("all columns must have equal length")
     lines = [f"# {key}: {value}" for key, value in metadata.items()]
     lines.append(",".join(names))
-    for i in range(n):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
+    lines.extend(map(",".join, zip(*map(_column_text, arrays))))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from kickedtop import classical
 from kickedtop.classical import (
     ClassicalState,
     GridSpec,
@@ -112,6 +113,51 @@ def test_estimator_stability_under_doubling():
     l1 = lyapunov_exponent(s, params(kappa=7.0), 2500)
     l2 = lyapunov_exponent(s, params(kappa=7.0), 5000)
     assert abs(l2 - l1) / l1 < 0.02
+
+
+def test_lyapunov_batch_independent_of_chunking(monkeypatch):
+    # 37 trajectories in chunks of 16: two full chunks and a partial one
+    monkeypatch.setattr(classical, "CHUNK_TRAJECTORIES", 16)
+    s0 = random_unit_vectors(37, seed=5)
+    for alpha, kappa in ((ALPHA, 3.0), (np.pi / 2, 7.0)):
+        batch = _lyapunov_batch(s0, alpha, kappa, 150, 20)
+        single = [_lyapunov_batch(s[None, :], alpha, kappa, 150, 20)[0] for s in s0]
+        assert np.array_equal(batch, single)
+
+
+@pytest.mark.parametrize("kappa", [0.4, 3.0, 7.0])
+def test_lyapunov_batch_matches_jacobian_oracle(kappa):
+    # Benettin by hand: classical_step for the orbit, the analytic
+    # jacobian for the tangent vector, renormalized every kick
+    p = params(kappa=kappa)
+    s0 = random_unit_vectors(20, seed=6)
+    n_kicks, n_transient = 500, 100
+    expected = []
+    for s in s0:
+        state, d, acc = ClassicalState(s), np.full(3, 1.0 / np.sqrt(3.0)), 0.0
+        for n in range(n_transient + n_kicks):
+            d = jacobian(state, p) @ d
+            state = classical_step(state, p)
+            r = np.linalg.norm(d)
+            if n >= n_transient:
+                acc += np.log(r)
+            d = d / r
+        expected.append(acc / n_kicks)
+    lam = _lyapunov_batch(s0, p.alpha, p.kappa, n_kicks, n_transient)
+    assert np.max(np.abs(lam - expected)) < 1e-10
+
+
+def test_lyapunov_needs_a_kick():
+    s0 = random_unit_vectors(3)
+    for n_kicks in (0, -1):
+        with pytest.raises(ValueError, match="n_kicks"):
+            _lyapunov_batch(s0, ALPHA, 3.0, n_kicks)
+    with pytest.raises(ValueError, match="n_kicks"):
+        lyapunov_field(params(), GridSpec(n_phi=2, n_theta=2), n_kicks=0)
+    with pytest.raises(ValueError, match="n_kicks"):
+        averaged_lyapunov(params(), n_samples=4, n_kicks=0)
+    with pytest.raises(ValueError, match="n_kicks"):
+        lyapunov_exponent(ClassicalState(s0[0]), params(), 0)
 
 
 def test_field_regular_regime_mostly_zero():
@@ -238,6 +284,21 @@ def test_portrait_regular_orbits_conserve_theta_band():
     phi, theta, orbit = phase_portrait(params(0.0, 5.0), n_orbits=5, n_kicks=50, seed=1)
     for k in range(5):
         assert np.ptp(theta[orbit == k]) < 1e-10
+
+
+def test_portrait_points_follow_classical_step():
+    p = params(kappa=7.0)
+    n_orbits, n_kicks = 6, 40
+    phi, theta, orbit = phase_portrait(p, n_orbits=n_orbits, n_kicks=n_kicks, seed=4)
+    theta0, phi0 = haar_sphere(n_orbits, rng_for_task(4))
+    for k in range(n_orbits):
+        state = ClassicalState.from_angles(theta0[k], phi0[k])
+        points = []
+        for _ in range(n_kicks + 1):
+            points.append(state.angles)
+            state = classical_step(state, p)
+        mask = orbit == k
+        assert np.array_equal(np.column_stack([phi[mask], theta[mask]]), points)
 
 
 def test_state_angle_round_trip():

@@ -241,6 +241,35 @@ def test_usage_error_lyapunov_sizes(tmp_path, capsys, args):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lyapunov", "--kappa", "3", "--grid", "4", "--kicks", "0"),
+        ("lyapunov", "--mode", "scan", "--kappa", "3", "--alpha-grid", "1",
+         "--samples", "4", "--kicks", "0"),
+        ("portrait", "--kappa", "3", "--orbits", "0"),
+        ("portrait", "--kappa", "3", "--kicks", "-1"),
+    ],
+)
+def test_usage_error_classical_sizes(tmp_path, capsys, args):
+    assert run(*args, "--out", tmp_path) == 1
+    assert "must be at least" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_usage_error_spectrum_bins(tmp_path, capsys, no_eigensystem):
+    assert run("spectrum", "--j", "4", "--kappa", "3", "--bins", "0", "--out", tmp_path) == 1
+    assert "--bins must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_usage_error_negative_q(tmp_path, capsys, no_eigensystem):
+    assert run("multifractal", "--j", "4", "--kappa", "3", "--grid", "2", "--q", "1,-1",
+               "--out", tmp_path) == 1
+    assert "q values must be >= 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_usage_error_coeffdist_samples(tmp_path, capsys, no_eigensystem, samples):
     assert run("coeffdist", "--j-list", "4", "--kappa", "3", "--samples", samples,
