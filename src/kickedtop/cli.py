@@ -6,6 +6,11 @@ Common flags: --j, --kappa (value, comma list, or start:stop:step),
 --alpha, --seed, --threads, --out, --config.  Exit codes: 0 success,
 1 usage error, 2 numerical failure.
 
+Every subcommand builds its parameter points up front (``Run.grid``)
+and computes them through one driver, ``Run.scan``, on --threads
+threads.  A point's task index is its position and seeds its random
+substream, so CSVs do not depend on the thread count.
+
 Option precedence: command-line flags beat the config file, which beats
 the built-in defaults copied from the standard figure recipes.  The
 config file holds ``key = value`` lines ('#' comments allowed), keys
@@ -16,6 +21,7 @@ or a value the matching flag would reject, is a usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -47,7 +53,6 @@ from .floquet import DiagonalizationError, KickedTopParams
 from .io import write_csv, write_manifest
 from .multifractal import averaged_dq, coherent_weights, dq_field, scaling_fit
 from .spectral import fit_brody, ratio_stats, spacings_from_quasienergies
-from .spin import SpinBasis
 
 ALPHA_DEFAULT = 4 * np.pi / 7
 FIGURE_KAPPAS = "0.4,1.7,3,7"
@@ -100,6 +105,8 @@ def parse_values(text: str) -> np.ndarray:
         raise UsageError(f"cannot parse values {text!r}: {exc}") from exc
     if values.size == 0:
         raise UsageError(f"empty value list {text!r}")
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"values must be finite, got {text!r}")
     return values
 
 
@@ -182,12 +189,13 @@ class Run:
         self.cfg = validate_config(load_config(args.config), args.options) if args.config else {}
         self.command = args.command
         self.seed = int(self.pick("seed", 0))
-        self.threads = int(self.pick("threads", os.cpu_count() or 1))
-        self.out = Path(self.pick("out", "out"))
         self.alpha = float(self.pick("alpha", ALPHA_DEFAULT))
+        self.resolved = {"alpha": self.alpha, "seed": self.seed}
+        self.threads = self.count("threads", os.cpu_count() or 1, 1)
+        self.out = Path(self.pick("out", "out"))
+        self.cache = None if self.pick("no-cache", False) else self.out / "cache"
         self.files: list[str] = []
         self.t0 = time.perf_counter()
-        self.resolved = {"alpha": self.alpha, "seed": self.seed, "threads": self.threads}
 
     def pick(self, name, default, conv=None):
         value = getattr(self.args, name.replace("-", "_"), None)
@@ -218,25 +226,44 @@ class Run:
         self.resolved["kappa"] = ",".join(repr(float(v)) for v in values)
         return values
 
-    def cache_dir(self):
-        return None if self.pick("no-cache", False) else self.out / "cache"
+    def grid(self, kappas, js, alphas=None) -> list[KickedTopParams]:
+        """Every scan point, alpha-major, then j, then kappa; built before
+        any work, so a value outside the parameter domain fails up front."""
+        points = itertools.product([self.alpha] if alphas is None else alphas, js, kappas)
+        try:
+            return [KickedTopParams(alpha=float(a), kappa=float(k), j=j) for a, j, k in points]
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+
+    def scan(self, compute, points) -> list:
+        """``compute(task_index, point)`` for every point, in point order, on
+        ``--threads`` threads.  task_index is the point's position.  When a
+        task fails, the tasks still queued are cancelled."""
+        with ThreadPoolExecutor(max_workers=self.threads) as pool:
+            return list(pool.map(compute, range(len(points)), points))
+
+    def eigensystem(self, params):
+        return cached_eigensystem(params, self.cache)
 
     def metadata(self, **extra) -> dict:
+        # the thread count does not change the results, so only the manifest has it
         meta = {"tool": f"kickedtop {__version__}", "command": self.command}
-        meta.update({k: self.resolved[k] for k in sorted(self.resolved)})
+        meta.update({k: self.resolved[k] for k in sorted(self.resolved) if k != "threads"})
         meta.update(extra)
         return meta
 
     def emit(self, name, columns, **extra):
         path = write_csv(self.out / name, columns, self.metadata(**extra))
         self.files.append(str(path))
-        return path
 
-    def parallel(self, fn, items):
-        if self.threads <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, items))
+    def emit_each(self, stem, points, tables, **extra):
+        """One CSV ``<stem>_kappa<kappa>.csv`` per point of a scan over kappa."""
+        for p, columns in zip(points, tables):
+            self.emit(f"{stem}_kappa{_ktag(p.kappa)}.csv", columns, kappa=repr(p.kappa), **extra)
+
+    def emit_rows(self, name, header, rows, **extra):
+        """Emit row tuples as a CSV with one column per name in ``header``."""
+        self.emit(name, {h: [r[i] for r in rows] for i, h in enumerate(header)}, **extra)
 
     def finish(self) -> int:
         manifest = {
@@ -255,31 +282,20 @@ def _ktag(value: float) -> str:
     return ("%g" % value).replace(".", "p").replace("-", "m")
 
 
-def _params(alpha: float, kappa: float, j: int) -> KickedTopParams:
-    """Build params, mapping domain violations to usage errors."""
-    try:
-        return KickedTopParams(alpha=alpha, kappa=kappa, j=j)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 # ---------------------------------------------------------------- portrait
 
 
 def cmd_portrait(args) -> int:
     run = Run(args)
-    kappas = run.kappas()
     orbits = run.count("orbits", 289, 1)
     kicks = run.count("kicks", 300, 0)
-    j = int(run.opt("j", 1, int))  # classical map: j only recorded for provenance
-    for kappa in kappas:
-        params = _params(run.alpha, float(kappa), j)
-        phi, theta, orbit = phase_portrait(params, n_orbits=orbits, n_kicks=kicks, seed=run.seed)
-        run.emit(
-            f"portrait_kappa{_ktag(kappa)}.csv",
-            {"phi": phi, "theta": theta, "orbit_id": orbit},
-            kappa=repr(float(kappa)),
-        )
+    points = run.grid(run.kappas(), [run.opt("j", 1, int)])  # classical map: j only recorded
+
+    def one(_, p):
+        phi, theta, orbit = phase_portrait(p, n_orbits=orbits, n_kicks=kicks, seed=run.seed)
+        return {"phi": phi, "theta": theta, "orbit_id": orbit}
+
+    run.emit_each("portrait", points, run.scan(one, points))
     return run.finish()
 
 
@@ -290,18 +306,18 @@ def cmd_lyapunov(args) -> int:
     run = Run(args)
     mode = run.opt("mode", "field", str)
     kicks = run.count("kicks", 5000, 1)
-    j = int(run.opt("j", 1, int))  # classical map: j only recorded for provenance
+    j = run.opt("j", 1, int)  # classical map: j only recorded for provenance
     if mode == "field":
         n_grid = run.count("grid", 200, 1)
-        for kappa in run.kappas():
-            params = _params(run.alpha, float(kappa), j)
-            field = lyapunov_field(params, GridSpec(n_phi=n_grid, n_theta=n_grid), n_kicks=kicks)
-            phi, theta = field.grid_spec.mesh()
-            run.emit(
-                f"lyapunov_field_kappa{_ktag(kappa)}.csv",
-                {"phi": phi, "theta": theta, "lambda": field.grid.ravel()},
-                kappa=repr(float(kappa)),
-            )
+        spec = GridSpec(n_phi=n_grid, n_theta=n_grid)
+        phi, theta = spec.mesh()
+        points = run.grid(run.kappas(), [j])
+
+        def field(_, p):
+            lam = lyapunov_field(p, spec, n_kicks=kicks).grid.ravel()
+            return {"phi": phi, "theta": theta, "lambda": lam}
+
+        run.emit_each("lyapunov_field", points, run.scan(field, points))
     elif mode == "scan":
         kappas = run.kappas("0:10:0.5")
         alphas = parse_values(str(run.opt("alpha-grid", "0.1:6.2:0.2", str)))
@@ -310,32 +326,22 @@ def cmd_lyapunov(args) -> int:
         kc_alphas = [a for a in alphas if min(abs(a), abs(a - np.pi), abs(a - 2 * np.pi)) > 0.05]
         if run.pick("kappa-c", False) and not kc_alphas:
             raise UsageError("--kappa-c needs an alpha at least 0.05 away from 0, pi and 2pi")
-        points = [
-            (idx, float(k), float(a))
-            for idx, (k, a) in enumerate((k, a) for a in alphas for k in kappas)
-        ]
+        points = run.grid(kappas, [j], alphas)
 
-        def one(point):
-            idx, kappa, alpha = point
-            params = _params(alpha, kappa, j)
+        def one(idx, p):
             avg = averaged_lyapunov(
-                params, n_samples=samples, n_kicks=kicks, seed=run.seed, task_index=idx
+                p, n_samples=samples, n_kicks=kicks, seed=run.seed, task_index=idx
             )
-            return kappa, alpha, avg.mean, avg.stderr
+            return p.kappa, p.alpha, avg.mean, avg.stderr
 
-        rows = run.parallel(one, points)
-        arr = np.array(rows)
-        run.emit(
-            "lyapunov_scan.csv",
-            {"kappa": arr[:, 0], "alpha": arr[:, 1], "lambda_bar": arr[:, 2], "stderr": arr[:, 3]},
-        )
+        header = ("kappa", "alpha", "lambda_bar", "stderr")
+        run.emit_rows("lyapunov_scan.csv", header, run.scan(one, points))
         if run.pick("kappa-c", False):
-            kc = [
-                (a, kappa_threshold(float(a), n_samples=samples, n_kicks=kicks, seed=run.seed))
-                for a in kc_alphas
-            ]
-            arr = np.array(kc)
-            run.emit("kappa_c.csv", {"alpha": arr[:, 0], "kappa_c": arr[:, 1]})
+            kc = run.scan(
+                lambda _, a: kappa_threshold(a, n_samples=samples, n_kicks=kicks, seed=run.seed),
+                kc_alphas,
+            )
+            run.emit_rows("kappa_c.csv", ("alpha", "kappa_c"), list(zip(kc_alphas, kc)))
     else:
         raise UsageError(f"unknown lyapunov mode {mode!r} (expected field or scan)")
     return run.finish()
@@ -346,40 +352,28 @@ def cmd_lyapunov(args) -> int:
 
 def cmd_spectrum(args) -> int:
     run = Run(args)
-    j = int(run.opt("j", 1000, int))
+    j = run.opt("j", 1000, int)
     sector = str(run.opt("sector", "even", str))
     bins = np.linspace(0.0, 4.0, run.count("bins", 50, 1) + 1)
-    kappas = run.kappas()
-    cache = run.cache_dir()
+    points = run.grid(run.kappas(), [j])
 
-    def one(task):
-        idx, kappa = task
-        eig = cached_eigensystem(_params(run.alpha, kappa, j), cache)
-        nu = eig.sector(sector)
+    def one(_, p):
+        nu = run.eigensystem(p).sector(sector)
         ens = spacings_from_quasienergies(nu, periodic=True)
         density, _ = np.histogram(ens.spacings, bins=bins, density=True)
-        return kappa, fit_brody(ens).beta, ratio_stats(ens.raw_gaps).mean_r, nu.size, density
+        return p.kappa, fit_brody(ens).beta, ratio_stats(ens.raw_gaps).mean_r, nu.size, density
 
-    results = run.parallel(one, list(enumerate(float(k) for k in kappas)))
+    results = run.scan(one, points)
     centers = 0.5 * (bins[:-1] + bins[1:])
-    for kappa, _, _, _, density in results:
-        run.emit(
-            f"pspacing_kappa{_ktag(kappa)}.csv",
-            {"bin_center": centers, "density": density},
-            kappa=repr(kappa),
-            sector=sector,
-            eigenphase_convention="F|v> = exp(+i nu)|v>, nu in [-pi, pi)",
-        )
-    run.emit(
-        "spectrum_scan.csv",
-        {
-            "kappa": [r[0] for r in results],
-            "beta": [r[1] for r in results],
-            "mean_r": [r[2] for r in results],
-            "n_levels": [r[3] for r in results],
-        },
+    run.emit_each(
+        "pspacing",
+        points,
+        [{"bin_center": centers, "density": r[-1]} for r in results],
         sector=sector,
+        eigenphase_convention="F|v> = exp(+i nu)|v>, nu in [-pi, pi)",
     )
+    header = ("kappa", "beta", "mean_r", "n_levels")
+    run.emit_rows("spectrum_scan.csv", header, results, sector=sector)
     return run.finish()
 
 
@@ -388,6 +382,10 @@ def cmd_spectrum(args) -> int:
 
 def _q_label(q) -> str:
     return "Dinf" if np.isinf(q) else ("D%g" % q)
+
+
+def _q_text(q) -> str:
+    return "inf" if np.isinf(q) else repr(float(q))
 
 
 def _parse_qs(text: str) -> tuple:
@@ -409,91 +407,53 @@ def cmd_multifractal(args) -> int:
     mode = run.opt("mode", "field", str)
     qs = _parse_qs(run.opt("q", "1,2,inf", str))
     samples = run.count("samples", 10_000, 2)  # a standard error needs two samples
-    cache = run.cache_dir()
+
+    def averaged(idx, p):
+        return averaged_dq(p.basis, run.eigensystem(p), samples, qs, seed=run.seed, task_index=idx)
 
     if mode == "field":
-        j = int(run.opt("j", 150, int))
+        j = run.opt("j", 150, int)
         n_grid = run.count("grid", 100, 1)
-        basis = SpinBasis(j)
-        for kappa in run.kappas():
-            eig = cached_eigensystem(_params(run.alpha, float(kappa), j), cache)
-            field = dq_field(basis, eig, GridSpec(n_phi=n_grid, n_theta=n_grid), qs)
-            phi, theta = field.grid_spec.mesh()
-            columns = {"phi": phi, "theta": theta}
-            for q in qs:
-                columns[_q_label(q)] = field.component(q).ravel()
-            run.emit(f"dq_field_kappa{_ktag(kappa)}.csv", columns, kappa=repr(float(kappa)))
+        spec = GridSpec(n_phi=n_grid, n_theta=n_grid)
+        phi, theta = spec.mesh()
+        points = run.grid(run.kappas(), [j])
+
+        def field(_, p):
+            dq = dq_field(p.basis, run.eigensystem(p), spec, qs)
+            columns = {_q_label(q): dq.component(q).ravel() for q in qs}
+            return {"phi": phi, "theta": theta, **columns}
+
+        run.emit_each("dq_field", points, run.scan(field, points))
     elif mode == "scan":
-        js = [int(v) for v in parse_values(str(run.opt("j-list", "50,100,150,200", str)))]
-        kappas = run.kappas("0.2:8:0.2")
-        tasks = [
-            (idx, j, float(kappa))
-            for idx, (j, kappa) in enumerate((j, k) for j in js for k in kappas)
+        js = parse_values(str(run.opt("j-list", "50,100,150,200", str)))
+        points = run.grid(run.kappas("0.2:8:0.2"), js)
+        results = run.scan(averaged, points)
+        rows = [
+            (p.kappa, p.j, 2 * p.j + 1, _q_text(q), res.D_q[l], res.stderr[l])
+            for p, res in zip(points, results)
+            for l, q in enumerate(qs)
         ]
-
-        def one(task):
-            idx, j, kappa = task
-            eig = cached_eigensystem(_params(run.alpha, kappa, j), cache)
-            res = averaged_dq(SpinBasis(j), eig, samples, qs, seed=run.seed, task_index=idx)
-            return [(kappa, j, 2 * j + 1, q, res.D_q[l], res.stderr[l]) for l, q in enumerate(qs)]
-
-        rows = [row for chunk in run.parallel(one, tasks) for row in chunk]
-        run.emit(
-            "multifractal_scan.csv",
-            {
-                "kappa": [r[0] for r in rows],
-                "j": [r[1] for r in rows],
-                "N": [r[2] for r in rows],
-                "q": [("inf" if np.isinf(r[3]) else repr(float(r[3]))) for r in rows],
-                "Dq_mean": [r[4] for r in rows],
-                "stderr": [r[5] for r in rows],
-            },
-        )
+        run.emit_rows("multifractal_scan.csv", ("kappa", "j", "N", "q", "Dq_mean", "stderr"), rows)
     elif mode == "scaling":
         kappas = run.kappas("7")
         if kappas.size != 1:
             raise UsageError("scaling mode expects a single --kappa value")
         kappa = float(kappas[0])
-        js = [int(v) for v in parse_values(str(run.opt("j-list", SCALING_JS, str)))]
-
-        def one(task):
-            idx, j = task
-            eig = cached_eigensystem(_params(run.alpha, kappa, j), cache)
-            return averaged_dq(SpinBasis(j), eig, samples, qs, seed=run.seed, task_index=idx)
-
-        results = run.parallel(one, list(enumerate(js)))
+        points = run.grid(kappas, parse_values(str(run.opt("j-list", SCALING_JS, str))))
+        results = run.scan(averaged, points)
         point_rows, fit_rows = [], []
         for l, q in enumerate(qs):
-            pts = [(2 * j + 1, res.D_q[l]) for j, res in zip(js, results)]
-            for (n, dq), j, res in zip(pts, js, results):
-                point_rows.append((j, n, q, dq, res.stderr[l]))
-            fit = scaling_fit(pts, "linear_in_invlogN")
-            fit_rows.append((_q_label(q), fit.model, fit.intercept, fit.slope, fit.residual))
-            if np.isinf(q):
-                fit = scaling_fit(pts, "loglog_in_invlogN")
+            pts = [(2 * p.j + 1, res.D_q[l]) for p, res in zip(points, results)]
+            for (n, dq), p, res in zip(pts, points, results):
+                point_rows.append((p.j, n, _q_text(q), dq, res.stderr[l]))
+            models = ["linear_in_invlogN"] + (["loglog_in_invlogN"] if np.isinf(q) else [])
+            for model in models:
+                fit = scaling_fit(pts, model)
                 fit_rows.append((_q_label(q), fit.model, fit.intercept, fit.slope, fit.residual))
-        run.emit(
-            "scaling_points.csv",
-            {
-                "j": [r[0] for r in point_rows],
-                "N": [r[1] for r in point_rows],
-                "q": [("inf" if np.isinf(r[2]) else repr(float(r[2]))) for r in point_rows],
-                "Dq_mean": [r[3] for r in point_rows],
-                "stderr": [r[4] for r in point_rows],
-            },
-            kappa=repr(kappa),
-        )
-        run.emit(
-            "scaling_fits.csv",
-            {
-                "q": [r[0] for r in fit_rows],
-                "model": [r[1] for r in fit_rows],
-                "intercept": [r[2] for r in fit_rows],
-                "slope": [r[3] for r in fit_rows],
-                "residual": [r[4] for r in fit_rows],
-            },
-            kappa=repr(kappa),
-        )
+        header = ("j", "N", "q", "Dq_mean", "stderr")
+        run.emit_rows("scaling_points.csv", header, point_rows, kappa=repr(kappa))
+        header = ("q", "model", "intercept", "slope", "residual")
+        run.emit_rows("scaling_fits.csv", header, fit_rows, kappa=repr(kappa))
     else:
         raise UsageError(f"unknown multifractal mode {mode!r} (expected field, scan, or scaling)")
     return run.finish()
@@ -506,58 +466,29 @@ def cmd_coeffdist(args) -> int:
     run = Run(args)
     nu = int(run.opt("nu", 2, int))
     samples = run.count("samples", 10_000, 1)
-    js = [int(v) for v in parse_values(str(run.opt("j-list", "150", str)))]
-    kappas = [float(k) for k in run.kappas()]
-    cache = run.cache_dir()
-    tasks = [
-        (idx, j, kappa) for idx, (j, kappa) in enumerate((j, k) for j in js for k in kappas)
-    ]
+    js = parse_values(str(run.opt("j-list", "150", str)))
+    points = run.grid(run.kappas(), js)
 
-    def one(task):
-        idx, j, kappa = task
-        eig = cached_eigensystem(_params(run.alpha, kappa, j), cache)
+    def one(idx, p):
+        # reduce the pooled weights in the task: only what is emitted outlives it
         theta, phi = haar_sphere(samples, rng_for_task(run.seed, idx))
-        pool = pool_rescaled(coherent_weights(SpinBasis(j), eig, theta, phi))
-        return j, kappa, pool
-
-    results = run.parallel(one, tasks)
-    scan_rows = []
-    for j, kappa, pool in results:
+        pool = pool_rescaled(coherent_weights(p.basis, run.eigensystem(p), theta, phi))
         hist = empirical_log_histogram(pool)
-        run.emit(
-            f"lnx_hist_j{j}_kappa{_ktag(kappa)}.csv",
-            {
-                "lnx_bin": hist.centers,
-                "density": hist.density,
-                "reference_density": chisq_logpdf_form(np.exp(hist.centers), nu, pool.mean_x),
-            },
-            j=j,
-            kappa=repr(kappa),
-            nu=nu,
-            zeros_excluded=hist.n_zero_excluded,
-        )
+        ref = chisq_logpdf_form(np.exp(hist.centers), nu, pool.mean_x)
         xs = np.sort(pool.x[pool.x > 0])
         grid = np.linspace(xs[0], xs[-1], 512)
         f_emp = np.searchsorted(xs, grid, side="right") / xs.size
-        run.emit(
-            f"cdf_j{j}_kappa{_ktag(kappa)}.csv",
-            {"x": grid, "F_emp": f_emp, "F_ref": chisq_cdf(grid, nu, pool.mean_x)},
-            j=j,
-            kappa=repr(kappa),
-            nu=nu,
-        )
-        report = distance_report(pool, nu)
-        scan_rows.append((kappa, j, report.skld, report.rmse))
-    run.emit(
-        "coeffdist_scan.csv",
-        {
-            "kappa": [r[0] for r in scan_rows],
-            "j": [r[1] for r in scan_rows],
-            "skld": [r[2] for r in scan_rows],
-            "rmse": [r[3] for r in scan_rows],
-        },
-        nu=nu,
-    )
+        return hist, ref, (grid, f_emp, chisq_cdf(grid, nu, pool.mean_x)), distance_report(pool, nu)
+
+    results = run.scan(one, points)
+    for p, (hist, ref, (grid, f_emp, f_ref), _) in zip(points, results):
+        tag = f"j{p.j}_kappa{_ktag(p.kappa)}.csv"
+        meta = {"j": p.j, "kappa": repr(p.kappa), "nu": nu}
+        hist_columns = {"lnx_bin": hist.centers, "density": hist.density, "reference_density": ref}
+        run.emit(f"lnx_hist_{tag}", hist_columns, **meta, zeros_excluded=hist.n_zero_excluded)
+        run.emit(f"cdf_{tag}", {"x": grid, "F_emp": f_emp, "F_ref": f_ref}, **meta)
+    rows = [(p.kappa, p.j, r[3].skld, r[3].rmse) for p, r in zip(points, results)]
+    run.emit_rows("coeffdist_scan.csv", ("kappa", "j", "skld", "rmse"), rows, nu=nu)
     return run.finish()
 
 

@@ -61,9 +61,9 @@ class KickedTopParams:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 2 * np.pi:
             raise ValueError(f"alpha must lie in [0, 2pi), got {self.alpha}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.j < 1 or self.j != int(self.j):
+        if not 0 <= self.kappa < np.inf:
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
+        if not 1 <= self.j < np.inf or self.j != int(self.j):
             raise ValueError(f"j must be an integer >= 1, got {self.j}")
         object.__setattr__(self, "j", int(self.j))
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ def test_parse_values_forms():
         parse_values("0:1")
     with pytest.raises(ValueError):
         parse_values("abc")
+    for text in ("0.4,nan", "inf", "1e400"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_values(text)
 
 
 def test_range_steps_in_decimal():
@@ -275,6 +279,91 @@ def test_usage_error_coeffdist_samples(tmp_path, capsys, no_eigensystem, samples
     assert run("coeffdist", "--j-list", "4", "--kappa", "3", "--samples", samples,
                "--out", tmp_path) == 1
     assert "--samples must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_usage_error_threads_below_one(tmp_path, capsys, no_eigensystem, threads):
+    assert run("spectrum", "--j", "4", "--kappa", "3", "--threads", threads, "--out", tmp_path) == 1
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("spectrum", "--j", "4", "--kappa", "1,nan"),
+        ("spectrum", "--j", "4", "--kappa", "inf"),
+        ("multifractal", "--mode", "scan", "--kappa", "1", "--samples", "4", "--j-list", "10.5"),
+        ("multifractal", "--mode", "scan", "--kappa", "1", "--samples", "4", "--j-list", "nan"),
+        ("multifractal", "--mode", "scaling", "--kappa", "7", "--samples", "4",
+         "--j-list", "1e400"),
+        ("coeffdist", "--kappa", "1", "--samples", "4", "--j-list", "10,0"),
+        ("coeffdist", "--kappa", "1", "--samples", "4", "--j-list", "10.5"),
+    ],
+)
+def test_usage_error_scan_values_not_parameters(tmp_path, no_eigensystem, args):
+    # non-finite or non-integer scan values fail before any eigensystem is built
+    assert run(*args, "--out", tmp_path) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lyapunov", "--kappa", "nan", "--grid", "4", "--kicks", "10"),
+        ("lyapunov", "--mode", "scan", "--kappa", "1,inf", "--alpha-grid", "1",
+         "--samples", "4", "--kicks", "10"),
+        ("portrait", "--kappa", "inf", "--orbits", "2", "--kicks", "3"),
+    ],
+)
+def test_usage_error_classical_non_finite_kappa(tmp_path, args):
+    assert run(*args, "--out", tmp_path) == 1
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_failed_task_cancels_queued_tasks(monkeypatch, tmp_path):
+    from kickedtop import cli
+    from kickedtop.floquet import DiagonalizationError
+
+    calls = []
+
+    def fail(params, cache_dir=None):
+        calls.append(params.kappa)
+        if len(calls) > 1:
+            time.sleep(0.2)  # long enough for the driver to cancel what is still queued
+        raise DiagonalizationError("synthetic eigensolver failure")
+
+    monkeypatch.setattr(cli, "cached_eigensystem", fail)
+    assert run("spectrum", "--j", "4", "--kappa", "1:8:1", "--threads", "1", "--out", tmp_path) == 2
+    assert len(calls) <= 2
+
+
+# one small recipe per mode, each with several scan points so the pool has work to share
+THREAD_RECIPES = {
+    "portrait": ("portrait", "--kappa", "0.4,3,7", "--orbits", "4", "--kicks", "10"),
+    "lyapunov-field": ("lyapunov", "--kappa", "1,5", "--grid", "6", "--kicks", "40"),
+    "lyapunov-scan": ("lyapunov", "--mode", "scan", "--kappa", "1,5", "--alpha-grid", "1:2:0.5",
+                      "--samples", "6", "--kicks", "40", "--kappa-c"),
+    "spectrum": ("spectrum", "--j", "12", "--kappa", "0.4,3,7", "--bins", "10"),
+    "multifractal-field": ("multifractal", "--j", "8", "--kappa", "1,7", "--grid", "4"),
+    "multifractal-scan": ("multifractal", "--mode", "scan", "--j-list", "5,8", "--kappa", "1,7",
+                          "--samples", "20"),
+    "multifractal-scaling": ("multifractal", "--mode", "scaling", "--kappa", "7",
+                             "--j-list", "5,8,11", "--samples", "20"),
+    "coeffdist": ("coeffdist", "--j-list", "8,10", "--kappa", "1,7", "--samples", "50"),
+}
+
+
+@pytest.mark.parametrize("argv", list(THREAD_RECIPES.values()), ids=list(THREAD_RECIPES))
+def test_csvs_identical_for_any_thread_count(tmp_path, argv):
+    outputs = []
+    for threads in (1, 3):
+        out = tmp_path / f"threads{threads}"
+        assert run(*argv, "--seed", "7", "--threads", threads, "--out", out) == 0
+        manifest = json.loads(next(out.glob("*_manifest.json")).read_text())
+        assert manifest["config"]["threads"] == str(threads)
+        outputs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_usage_error_bad_domain(tmp_path):

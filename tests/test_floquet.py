@@ -341,4 +341,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         KickedTopParams(alpha=1.0, kappa=-1.0, j=5)
     with pytest.raises(ValueError):
+        KickedTopParams(alpha=1.0, kappa=np.nan, j=5)
+    with pytest.raises(ValueError):
+        KickedTopParams(alpha=1.0, kappa=np.inf, j=5)
+    with pytest.raises(ValueError):
         KickedTopParams(alpha=1.0, kappa=1.0, j=0)
