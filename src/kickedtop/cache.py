@@ -6,21 +6,24 @@ caches each eigensystem the first time it is computed.  File layout
 
     offset  size            field
     0       8               magic  b"KTEIGSYS"
-    8       u4              format version (currently 2)
+    8       u4              format version (currently 3)
     12      u4              dim (= 2j + 1)
     16      f8              j
     24      f8              kappa
     32      f8              alpha
     40      u4              degenerate_clusters
     44      u4              zero padding
-    48      dim*dim * c16   eigenvectors, C (row-major) order;
-                            column i pairs with quasienergy i
+    48      f8              max_residual
+    56      dim*dim * f8    real eigenvector matrix R, C (row-major)
+                            order; column i pairs with quasienergy i
     ...     dim * f8        quasienergies, ascending
     ...     dim * i1        parities (+1 even, -1 odd)
     ...     u4              CRC-32 of all preceding bytes
 
-The padding keeps the eigenvector block 16-byte aligned, so a loaded
-file is used in place without copying.  Files are written to a
+The row phases diag K^(1/2) follow from (j, kappa) and are not stored.
+The padding keeps R 8-byte aligned, so a loaded file is used in place
+without copying.  Format-2 files, which held the complex eigenvectors,
+are misses and get recomputed.  Files are written to a
 temporary name in the same directory and renamed into place, so a
 reader never sees a partial file.  Files are named by the first 16 hex
 digits of the SHA-256 of the parameter triple, so a parameter mismatch
@@ -43,8 +46,8 @@ from .floquet import FloquetEigensystem, KickedTopParams, diagonalize
 __all__ = ["cache_path", "save_eigensystem", "load_eigensystem", "cached_eigensystem"]
 
 MAGIC = b"KTEIGSYS"
-VERSION = 2
-HEADER = struct.Struct("<8sII3dII")
+VERSION = 3
+HEADER = struct.Struct("<8sII3dIId")
 CRC = struct.Struct("<I")
 
 
@@ -68,8 +71,10 @@ def save_eigensystem(path, eig: FloquetEigensystem) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     p = eig.params
     parts = [
-        HEADER.pack(MAGIC, VERSION, eig.dim, p.j, p.kappa, p.alpha, eig.degenerate_clusters, 0),
-        np.ascontiguousarray(eig.eigenvectors, dtype="<c16"),
+        HEADER.pack(
+            MAGIC, VERSION, eig.dim, p.j, p.kappa, p.alpha, eig.degenerate_clusters, 0, eig.max_residual
+        ),
+        np.ascontiguousarray(eig.real_vectors, dtype="<f8"),
         np.ascontiguousarray(eig.quasienergies, dtype="<f8"),
         np.ascontiguousarray(eig.parities, dtype="<i1"),
     ]
@@ -97,23 +102,26 @@ def load_eigensystem(path) -> FloquetEigensystem:
         raise CacheFormatError(f"{path}: bad magic {bytes(buf[:len(MAGIC)])!r}")
     if buf.size < HEADER.size + CRC.size:
         raise CacheFormatError(f"{path}: truncated file")
-    _, version, dim, j, kappa, alpha, clusters, _ = HEADER.unpack_from(buf)
+    _, version, dim, j, kappa, alpha, clusters, _, residual = HEADER.unpack_from(buf)
     if version != VERSION:
         raise CacheFormatError(f"{path}: version {version}, expected {VERSION}")
     if dim != round(2 * j) + 1:
         raise CacheFormatError(f"{path}: dim {dim} inconsistent with j={j}")
-    vec_end = HEADER.size + 16 * dim * dim
+    vec_end = HEADER.size + 8 * dim * dim
     nu_end = vec_end + 8 * dim
     if buf.size != nu_end + dim + CRC.size:
         raise CacheFormatError(f"{path}: truncated file")
     if zlib.crc32(buf[: -CRC.size]) != CRC.unpack_from(buf, buf.size - CRC.size)[0]:
         raise CacheFormatError(f"{path}: checksum mismatch")
+    params = KickedTopParams(alpha=float(alpha), kappa=float(kappa), j=int(round(j)))
     return FloquetEigensystem(
         quasienergies=buf[vec_end:nu_end].view("<f8"),
-        eigenvectors=buf[HEADER.size : vec_end].view("<c16").reshape(dim, dim),
+        real_vectors=buf[HEADER.size : vec_end].view("<f8").reshape(dim, dim),
+        row_phases=params.half_kick,
         parities=buf[nu_end : nu_end + dim].view(np.int8),
-        params=KickedTopParams(alpha=float(alpha), kappa=float(kappa), j=int(round(j))),
+        params=params,
         degenerate_clusters=clusters,
+        max_residual=residual,
     )
 
 

@@ -21,6 +21,7 @@ per kick (unit time between kicks).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -328,6 +329,8 @@ def kappa_threshold(
     precession angles alpha = 0, pi, 2pi).  n_kicks must be large enough
     that the Benettin estimate of a sheared regular orbit, which decays
     like ln(n)/n, sits below the threshold; 5000 kicks clears 0.002.
+    When every tested kappa reads lambda-bar >= threshold, the result is
+    only the bisection floor and a RuntimeWarning says so.
     """
 
     def mean_lyap(kappa: float) -> float:
@@ -346,6 +349,14 @@ def kappa_threshold(
             hi = mid
         else:
             lo = mid
+    if lo == 0.0:
+        warnings.warn(
+            f"kappa_c at alpha={alpha} is the bisection floor {0.5 * hi}: lambda-bar >= {threshold} "
+            f"at every tested kappa with n_kicks={n_kicks}; regular orbits need about 5000 kicks "
+            "for their Benettin estimate to fall below the threshold",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return 0.5 * (lo + hi)
 
 

@@ -71,6 +71,12 @@ class KickedTopParams:
     def basis(self) -> SpinBasis:
         return SpinBasis(self.j)
 
+    @property
+    def half_kick(self) -> np.ndarray:
+        """Diagonal of K^(1/2) = exp(-i kappa Jz^2 / 4j), in basis order."""
+        m = self.basis.m_values
+        return np.exp(-0.25j * self.kappa * m**2 / self.j)
+
 
 @dataclass(frozen=True)
 class FloquetOperator:
@@ -86,30 +92,56 @@ class FloquetOperator:
 
 @dataclass(frozen=True)
 class FloquetEigensystem:
-    """Quasienergies in [-pi, pi), orthonormal eigenvectors, parity labels.
+    """Quasienergies in [-pi, pi), real eigenvector matrix, parity labels.
 
-    ``eigenvectors[:, i]`` belongs to ``quasienergies[i]``; ``parities[i]``
-    is +1 (even) or -1 (odd).  Sorted by quasienergy ascending, ties
-    broken even-first.  ``degenerate_clusters`` counts the degenerate
-    quasienergy clusters within a parity sector whose gauge was fixed
-    (see ``diagonalize``); nonzero values flag gauge-dependent downstream
-    quantities.
+    The eigenvectors of F are v_i = diag(row_phases) r_i c_i with
+    ``r_i = real_vectors[:, i]`` real and c_i a unit phase per column, so
+    weights |<v_i|psi>|^2 = |r_i^T (row_phases* psi)|^2 need no complex
+    matrix.  ``real_vectors`` is float64 N x N, ``row_phases`` the per-row
+    kick phase diag K^(1/2).  Column i belongs to ``quasienergies[i]``;
+    ``parities[i]`` is +1 (even) or -1 (odd).  Sorted by quasienergy
+    ascending, ties broken even-first.  ``degenerate_clusters`` counts the
+    degenerate quasienergy clusters within a parity sector whose gauge was
+    fixed (see ``diagonalize``); nonzero values flag gauge-dependent
+    downstream quantities.  ``max_residual`` is the largest eigen-residual
+    |M o - e^(i nu) o| over both parity blocks.
     """
 
     quasienergies: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
+    real_vectors: np.ndarray = field(repr=False)
+    row_phases: np.ndarray = field(repr=False)
     parities: np.ndarray = field(repr=False)
     params: KickedTopParams | None = None
     degenerate_clusters: int = 0
+    max_residual: float = 0.0
 
     @property
     def dim(self) -> int:
         return self.quasienergies.size
 
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Complex eigenvectors of F, column i for ``quasienergies[i]``.
+
+        Each column is turned so its largest-magnitude entry is real
+        positive; parity makes |v(m)| = |v(-m)|, so the pivot is sought
+        among m <= 0 lest rounding pick the row.  Built on each access.
+        """
+        r, h = self.real_vectors, self.row_phases
+        pivot = _pivot_rows(r)
+        vecs = r * (np.sign(r[pivot, np.arange(self.dim)]) * h[pivot].conj())
+        vecs *= h[:, None]
+        return vecs
+
     def sector(self, parity: str) -> np.ndarray:
         """Quasienergies of one parity sector ('even' or 'odd'), sorted."""
         want = EVEN if parity == "even" else ODD
         return np.sort(self.quasienergies[self.parities == want])
+
+
+def _pivot_rows(r: np.ndarray) -> np.ndarray:
+    """Row of each column's largest-magnitude entry among m <= 0."""
+    return np.argmax(np.abs(r[: r.shape[0] // 2 + 1]), axis=0)
 
 
 _JX_LOCK = threading.Lock()  # lru_cache alone lets two threads miss on the same j
@@ -224,14 +256,15 @@ def _sector_eigensystem(
     jz2: np.ndarray,
     gap_tol: float,
     params: KickedTopParams,
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Eigenphases and real eigenvectors of one parity block of F'.
 
     ``b`` holds the sector's real J_x eigenvectors, ``rotation`` their
     factors e^(-i alpha k).  The block M = W diag(rotation) W, with
     W = b^T K^(1/2) b, is a complex-symmetric unitary A + iB; A and B are
     commuting real symmetric matrices, so one real orthogonal O
-    diagonalizes both.  Returns (nu, O, number of gauge-fixed clusters).
+    diagonalizes both.  Returns (nu, O, number of gauge-fixed clusters,
+    largest eigen-residual).
     """
     w = (b.T * half_kick.real) @ b + 1j * ((b.T * half_kick.imag) @ b)
     block = (w * rotation) @ w
@@ -265,7 +298,7 @@ def _sector_eigensystem(
         raise DiagonalizationError(
             f"eigen-residual {worst:.3e} in a parity block of dim={b.shape[1]}, params={params}"
         )
-    return nu, o, len(clusters)
+    return nu, o, len(clusters), worst
 
 
 def diagonalize(params: KickedTopParams, gap_tol: float = 1e-10) -> FloquetEigensystem:
@@ -276,43 +309,46 @@ def diagonalize(params: KickedTopParams, gap_tol: float = 1e-10) -> FloquetEigen
     block of F' is complex symmetric (the generalized time reversal of
     the kicked top), so its eigenvectors o are real: they come from
     eigh(A + cB), phases are read as nu = atan2(o^T B o, o^T A o), and
-    the eigenvectors of F are v = K^(1/2) b o.  Quasienergy clusters with
-    internal gaps below ``gap_tol`` get a deterministic gauge from the
-    compressed Jz^2 and are counted in ``degenerate_clusters``.  Every
-    block is checked for |M o - e^(i nu) o| before returning; a failure
-    raises DiagonalizationError.
+    the eigenvectors of F are v = K^(1/2) b o.  Only the real R = b o is
+    kept, each column signed so its pivot entry (see
+    ``FloquetEigensystem.eigenvectors``) is positive, together with the
+    row phases diag K^(1/2).  Quasienergy clusters with internal gaps
+    below ``gap_tol`` get a deterministic gauge from the compressed Jz^2
+    and are counted in ``degenerate_clusters``.  Every block is checked
+    for |M o - e^(i nu) o| before returning; a failure raises
+    DiagonalizationError, and the larger of the two blocks' residuals is
+    kept as ``max_residual``.
     """
     basis = params.basis
     k, v = jx_eigenbasis(basis)
     m = basis.m_values
-    half_kick = np.exp(-0.25j * params.kappa * m**2 / params.j)
+    h = params.half_kick
     rotation = np.exp(-1j * params.alpha * k)
     jz2 = m * m
 
-    nus, vec_blocks, pars, n_clusters = [], [], [], 0
+    nus, vec_blocks, pars, n_clusters, worst = [], [], [], 0, 0.0
     for par, cols in ((EVEN, slice(0, None, 2)), (ODD, slice(1, None, 2))):
         b = v[:, cols]
-        nu, o, clusters = _sector_eigensystem(b, rotation[cols], half_kick, jz2, gap_tol, params)
+        nu, o, clusters, residual = _sector_eigensystem(b, rotation[cols], h, jz2, gap_tol, params)
         nus.append(nu)
         vec_blocks.append(b @ o)
         pars.append(np.full(nu.size, par, dtype=np.int8))
         n_clusters += clusters
+        worst = max(worst, residual)
 
     nu = np.concatenate(nus)
     parities = np.concatenate(pars)
     order = np.lexsort((parities == ODD, nu))  # ascending nu, even first on ties
     real = np.concatenate(vec_blocks, axis=1)[:, order]
-    # v = K^(1/2) b o, each column turned so its largest-magnitude entry is real positive;
-    # parity makes |v(m)| = |v(-m)|, so the pivot is sought among m <= 0 lest rounding pick the row
-    pivot = np.argmax(np.abs(real[: basis.dim // 2 + 1]), axis=0)
-    vecs = real * (np.sign(real[pivot, np.arange(basis.dim)]) * half_kick[pivot].conj())
-    vecs *= half_kick[:, None]
+    real *= np.sign(real[_pivot_rows(real), np.arange(basis.dim)])
     return FloquetEigensystem(
         quasienergies=nu[order],
-        eigenvectors=vecs,
+        real_vectors=real,
+        row_phases=h,
         parities=parities[order],
         params=params,
         degenerate_clusters=n_clusters,
+        max_residual=worst,
     )
 
 

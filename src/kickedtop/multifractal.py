@@ -123,6 +123,9 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
     coherent states; ``weights[r]`` belongs to input state ``indices[r]``.
 
     Each block multiplies only the Dicke-row window its states occupy.
+    Since v_i = diag(h) r_i c_i with r_i real, |<v_i|psi>| = |r_i^T (h* psi)|:
+    the band is built with the row phases h* folded in, and its real and
+    imaginary parts go through one real product with R.
     """
     if basis.dim != eig.dim:
         raise ValueError(f"dimension mismatch: states dim {basis.dim}, eigenbasis dim {eig.dim}")
@@ -131,11 +134,14 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
     if thetas.ndim != 1 or thetas.shape != phis.shape:
         raise ValueError(f"thetas and phis must be 1-D of one length, got {thetas.shape}, {phis.shape}")
     order = np.argsort(thetas, kind="stable")
+    row_phase = eig.row_phases.conj()
     for start in range(0, order.size, BLOCK_STATES):
         idx = order[start : start + BLOCK_STATES]
-        band, lo, hi = _coherent_band(basis, thetas[idx], phis[idx])
-        # |band^H V| = |V^H band|^T: the product comes out (states, N) in C order
-        yield idx, np.abs(band.conj().T @ eig.eigenvectors[lo:hi]) ** 2
+        band, lo, hi = _coherent_band(basis, thetas[idx], phis[idx], row_phase)
+        # rows 2k and 2k+1 of the product are the real and imaginary parts for state k
+        p = band.view(float).T @ eig.real_vectors[lo:hi]
+        p *= p
+        yield idx, p[0::2] + p[1::2]
 
 
 def coherent_weights(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis) -> np.ndarray:

@@ -19,6 +19,8 @@ __all__ = ["SpinBasis", "CoherentState", "angular_momentum", "coherent_state"]
 # dropping them moves weights by about one rounding unit, and subnormal
 # entries would put the expansion GEMM on a slow path.
 AMPLITUDE_CUTOFF = 1e-17
+# Dicke rows per tile of the two-level phase table in _phase_tiles
+PHASE_TILE = 32
 
 
 @dataclass(frozen=True)
@@ -116,14 +118,15 @@ def coherent_state_matrix(basis: SpinBasis, thetas, phis) -> np.ndarray:
     return out
 
 
-def _coherent_band(basis: SpinBasis, thetas, phis) -> tuple[np.ndarray, int, int]:
+def _coherent_band(basis: SpinBasis, thetas, phis, row_phase=None) -> tuple[np.ndarray, int, int]:
     """Coherent states restricted to the Dicke rows they occupy.
 
     Returns ``(band, lo, hi)``: ``band[:, k]`` holds rows lo..hi-1 of
     column k of :func:`coherent_state_matrix`, and every row outside
     [lo, hi) is zero in every column.  A state is non-negligible only
     within O(sqrt j) rows of m = j cos(theta), so states of similar
-    theta share a narrow window.
+    theta share a narrow window.  With ``row_phase`` (one unit complex
+    per Dicke row) row i of every column is multiplied by row_phase[i].
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -141,18 +144,40 @@ def _coherent_band(basis: SpinBasis, thetas, phis) -> tuple[np.ndarray, int, int
     south = thetas == np.pi
     interior = ~(north | south)
     t = np.where(interior, t, 1.0)
-    log_mag = (
-        np.outer(j - m, np.log(t))
-        - j * np.log1p(t * t)[None, :]
-        + 0.5 * ln_binom[:, None]
-    )
+    log_mag = np.outer(j - m, np.log(t))
+    log_mag -= j * np.log1p(t * t)[None, :]
+    log_mag += 0.5 * ln_binom[:, None]
     log_mag[:, ~interior] = -np.inf
     log_mag[-1, north] = 0.0
     log_mag[0, south] = 0.0
-    log_mag[log_mag < log_mag.max(axis=0) + np.log(AMPLITUDE_CUTOFF)] = -np.inf
-    occupied = np.flatnonzero(np.any(log_mag > -np.inf, axis=1))
+    keep = log_mag >= log_mag.max(axis=0) + np.log(AMPLITUDE_CUTOFF)
+    occupied = np.flatnonzero(np.any(keep, axis=1))
     lo, hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
-    phase = np.outer(j - m[lo:hi], np.where(interior, phis, 0.0))  # poles carry no phase
-    band = np.exp(log_mag[lo:hi] + 1j * phase)
-    band /= np.linalg.norm(band, axis=0, keepdims=True)
+    mag = np.where(keep[lo:hi], np.exp(log_mag[lo:hi]), 0.0)
+    mag /= np.sqrt(np.einsum("rk,rk->k", mag, mag))
+    band = _phase_tiles(2 * j - lo, hi - lo, np.where(interior, phis, 0.0))  # poles carry no phase
+    if row_phase is not None:
+        band *= row_phase[lo:hi, None]
+    band.view(float).reshape(*mag.shape, 2)[...] *= mag[:, :, None]
     return band, lo, hi
+
+
+def _phase_tiles(n0, rows: int, phis: np.ndarray) -> np.ndarray:
+    """e^(i (n0 - r) phi_k) for r < rows: a (rows, n) complex array.
+
+    Row r = PHASE_TILE * a + b is coarse[a] * fine[b], with coarse[a] =
+    e^(i (n0 - PHASE_TILE a) phi) and fine[b] = e^(-i b phi), so each
+    entry costs one complex multiply instead of a complex exp.  phi is
+    split as top + rest with top on 26 bits, so n * top is exact for any
+    n < 2^27 and the coarse phases carry no rounding of the product
+    n * phi; the result agrees with the exactly rounded e^(i n phi) to
+    a few units of 1e-16 times max(1, PHASE_TILE |phi|).
+    """
+    tiles = -(-rows // PHASE_TILE)
+    n = n0 - PHASE_TILE * np.arange(tiles)[:, None]
+    # Veltkamp split by 2^27 + 1; the clip keeps the product finite, as n * phi is
+    split = np.clip(phis, -1e300, 1e300) * 134217729.0
+    top = split - (split - phis)
+    coarse = np.exp(1j * (n * top)) * np.exp(1j * (n * (phis - top)))
+    fine = np.exp(-1j * np.outer(np.arange(PHASE_TILE), phis))
+    return (coarse[:, None, :] * fine).reshape(tiles * PHASE_TILE, phis.size)[:rows]

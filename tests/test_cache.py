@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -19,15 +22,34 @@ def fresh_eigensystem():
     return diagonalize(PARAMS)
 
 
+def buffer_of(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 def test_round_trip(tmp_path):
     eig = fresh_eigensystem()
+    assert 0.0 < eig.max_residual <= 1e-9
     path = cache_path(tmp_path, PARAMS)
     save_eigensystem(path, eig)
+    n = eig.dim
+    assert path.stat().st_size == cache.HEADER.size + 8 * n * n + 9 * n + 4
+    assert cache.HEADER.size == 56  # the format-2 header plus the f8 residual
     loaded = load_eigensystem(path)
     assert loaded.params == PARAMS
+    assert loaded.real_vectors.dtype == np.float64
+    assert np.array_equal(loaded.real_vectors, eig.real_vectors)
+    assert np.array_equal(loaded.row_phases, eig.row_phases)
     assert np.array_equal(loaded.quasienergies, eig.quasienergies)
-    assert np.array_equal(loaded.eigenvectors, eig.eigenvectors)
     assert np.array_equal(loaded.parities, eig.parities)
+    assert loaded.degenerate_clusters == eig.degenerate_clusters
+    assert loaded.max_residual == eig.max_residual
+    assert np.array_equal(loaded.eigenvectors, eig.eigenvectors)
+    # R is used in place: a view of the one buffer the file was read into
+    buf = buffer_of(loaded.real_vectors)
+    assert buf.dtype == np.uint8 and buf.size == path.stat().st_size
+    assert buffer_of(loaded.quasienergies) is buf
 
 
 def test_cached_eigensystem_hits_cache(tmp_path):
@@ -92,7 +114,9 @@ def test_degenerate_clusters_round_trip(tmp_path):
     assert eig.degenerate_clusters > 0
     path = cache_path(tmp_path, params)
     save_eigensystem(path, eig)
-    assert load_eigensystem(path).degenerate_clusters == eig.degenerate_clusters
+    loaded = load_eigensystem(path)
+    assert loaded.degenerate_clusters == eig.degenerate_clusters
+    assert loaded.max_residual == eig.max_residual
 
 
 def test_flipped_eigenvector_byte_detected(tmp_path):
@@ -129,6 +153,30 @@ def test_v1_file_recomputed(tmp_path):
     again = cached_eigensystem(PARAMS, tmp_path)
     assert np.array_equal(again.quasienergies, eig.quasienergies)
     assert int.from_bytes(path.read_bytes()[8:12], "little") == cache.VERSION
+
+
+def write_v2(path, eig):
+    """Format-2 layout: 48-byte header, complex eigenvectors, phases, parities, CRC-32."""
+    p = eig.params
+    blob = b"".join([
+        struct.pack("<8sII3dII", cache.MAGIC, 2, eig.dim, p.j, p.kappa, p.alpha, eig.degenerate_clusters, 0),
+        eig.eigenvectors.astype("<c16").tobytes(),
+        eig.quasienergies.astype("<f8").tobytes(),
+        eig.parities.astype("<i1").tobytes(),
+    ])
+    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+def test_v2_file_recomputed_as_v3(tmp_path):
+    eig = fresh_eigensystem()
+    path = cache_path(tmp_path, PARAMS)
+    write_v2(path, eig)
+    with pytest.raises(CacheFormatError, match="version 2"):
+        load_eigensystem(path)
+    again = cached_eigensystem(PARAMS, tmp_path)
+    assert np.array_equal(again.real_vectors, eig.real_vectors)
+    assert int.from_bytes(path.read_bytes()[8:12], "little") == cache.VERSION == 3
+    assert np.array_equal(load_eigensystem(path).real_vectors, eig.real_vectors)
 
 
 def test_save_leaves_no_temporary_files(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -268,6 +270,21 @@ def test_kappa_threshold_integrable_raises():
     # ln(n)/n must drop below the 0.002 threshold
     with pytest.raises(ValueError):
         kappa_threshold(0.0, n_samples=200, n_kicks=5000)
+
+
+def test_kappa_threshold_warns_at_the_bisection_floor():
+    # 400 kicks leave every tested kappa above the threshold, so the
+    # bisection never leaves kappa = 0
+    with pytest.warns(RuntimeWarning, match=r"alpha=1\.0 .*n_kicks=400.*5000 kicks"):
+        kc = kappa_threshold(1.0, n_samples=20, n_kicks=400)
+    assert kc == 10.0 / 512
+
+
+def test_kappa_threshold_resolved_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kc = kappa_threshold(np.pi / 2, n_samples=200)  # the default 5000 kicks
+    assert kc > 0.05
 
 
 def test_portrait_fixed_points_at_trivial_params():

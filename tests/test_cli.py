@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kickedtop
 from kickedtop.cli import main, parse_values
 from kickedtop.io import read_csv
 
@@ -364,6 +369,21 @@ def test_csvs_identical_for_any_thread_count(tmp_path, argv):
         assert manifest["config"]["threads"] == str(threads)
         outputs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_kappa_c_floor_warning_reaches_stderr(tmp_path):
+    # in a child interpreter: pytest records in-process warnings instead of printing them
+    src = str(Path(kickedtop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["lyapunov", "--mode", "scan", "--kappa", "1", "--alpha-grid", "1", "--samples", "6",
+            "--kicks", "400", "--kappa-c", "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-m", "kickedtop.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" in proc.stderr
+    assert "alpha=1.0" in proc.stderr and "n_kicks=400" in proc.stderr and "5000" in proc.stderr
+    _, columns = read_csv(tmp_path / "kappa_c.csv")
+    assert list(columns["kappa_c"]) == [10.0 / 512]  # the floor, written as before
 
 
 def test_usage_error_bad_domain(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -266,6 +267,21 @@ def test_eigenvector_phase_convention():
     assert np.all(entries.real > 0)
     assert np.max(np.abs(entries.imag) / entries.real) < 1e-14
     assert np.max(np.abs(mags[pivot, np.arange(81)] / mags.max(axis=0) - 1)) < 1e-12
+
+
+def test_eigensystem_stores_only_real_matrices():
+    # v = diag(h) R diag(c): R real and sign-fixed at the pivot, h = diag K^(1/2)
+    params = KickedTopParams(alpha=ALPHA, kappa=7.0, j=40)
+    eig = diagonalize(params)
+    matrices = [getattr(eig, f.name) for f in dataclasses.fields(eig)]
+    matrices = [a for a in matrices if isinstance(a, np.ndarray) and a.ndim == 2]
+    assert len(matrices) == 1 and matrices[0].dtype == np.float64
+    r = eig.real_vectors
+    assert np.all(r[np.argmax(np.abs(r[:41]), axis=0), np.arange(81)] > 0)
+    assert np.array_equal(eig.row_phases, params.half_kick)
+    phases = eig.eigenvectors / (eig.row_phases[:, None] * r)
+    assert np.max(np.abs(phases - phases[:1])) < 1e-14  # one unit phase per column
+    assert 0.0 < eig.max_residual <= 1e-9
 
 
 def test_jx_eigenbasis_memoized_read_only():

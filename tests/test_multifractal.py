@@ -33,12 +33,14 @@ def eigensystem(j, kappa, alpha=ALPHA):
 
 @functools.lru_cache(maxsize=None)
 def random_eigensystem(j):
-    """Haar-random unitary basis: dense in every row, no parity structure."""
+    """Haar-random real orthogonal R with random row phases h: eigenvectors
+    diag(h) R diag(c), dense in every row, no parity structure."""
     dim = round(2 * j) + 1
     rng = np.random.default_rng(dim)
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    q *= np.sign(np.diag(r).real)
-    return FloquetEigensystem(np.zeros(dim), q, np.ones(dim, dtype=int))
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    q *= np.sign(np.diag(r))
+    h = np.exp(2j * np.pi * rng.random(dim))
+    return FloquetEigensystem(np.zeros(dim), q, h, np.ones(dim, dtype=int))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -66,6 +68,18 @@ def test_coherent_weights_match_dense_oracle(j, n_random, chosen, seed):
     weights = coherent_weights(basis, eig, thetas, phis)
     assert weights.shape == oracle.shape
     assert np.max(np.abs(weights - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize("kappa", [0.4, 7.0])
+@pytest.mark.parametrize("j", [30, 150])
+def test_coherent_weights_match_dense_oracle_on_floquet_eigensystems(j, kappa):
+    # the row phases diag K^(1/2) fold kappa m^2 / 4j into the band
+    eig = eigensystem(j, kappa)
+    basis = SpinBasis(j)
+    theta, phi = haar_sphere(2 * BLOCK_STATES + 9, rng_for_task(4))
+    theta[:3] = (0.0, np.pi, 1e-9)
+    oracle = expand_states(coherent_state_matrix(basis, theta, phi), eig)
+    assert np.max(np.abs(coherent_weights(basis, eig, theta, phi) - oracle)) < 1e-12
 
 
 def test_coherent_weights_permutation_equivariant():

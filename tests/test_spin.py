@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -161,3 +163,22 @@ def test_batch_matches_single():
     for k, (theta, phi) in enumerate(zip(thetas, phis)):
         single = coherent_state(basis, theta, phi).amplitudes
         assert np.max(np.abs(batch[:, k] - single)) < 1e-13
+
+
+def test_tiled_phases_match_exact_exponential_at_large_j():
+    # entry m carries e^(i (j - m) phi).  np.exp(1j * (j - m) * phi) first
+    # rounds the product n * phi, which alone moves it by up to 9e-13 here
+    # (n = 1600, phi near 2pi), so the reference adds that rounding back
+    # exactly: e^(i (p + e)) = e^(i p) (1 + i e) for the rounded p and |e| < 1e-12
+    j = 800
+    thetas = np.repeat(np.linspace(0.02, np.pi - 0.02, 20), 3)
+    phis = np.tile([2 * np.pi - 1e-3, 1.234567, -10.0], 20)
+    amps = coherent_state_matrix(SpinBasis(j), thetas, phis)
+    rows, cols = np.nonzero(amps)
+    n = (2 * j - rows).astype(float)
+    prod = n * phis[cols]
+    rounding = [float(Fraction(a) * Fraction(b) - Fraction(p)) for a, b, p in zip(n, phis[cols], prod)]
+    exact = np.exp(1j * prod) * (1 + 1j * np.array(rounding))
+    phases = amps[rows, cols] / np.abs(amps[rows, cols])
+    assert set(rows) == set(range(2 * j + 1))  # every Dicke row is checked
+    assert np.max(np.abs(phases - exact)) < 1e-13
