@@ -16,7 +16,7 @@ import numpy as np
 
 from .classical import GridSpec, haar_sphere, rng_for_task
 from .floquet import FloquetEigensystem
-from .spin import CoherentState, SpinBasis, _coherent_band
+from .spin import CoherentState, SpinBasis, coherent_band
 
 __all__ = [
     "ExpansionCoefficients",
@@ -137,7 +137,7 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
     row_phase = eig.row_phases.conj()
     for start in range(0, order.size, BLOCK_STATES):
         idx = order[start : start + BLOCK_STATES]
-        band, lo, hi = _coherent_band(basis, thetas[idx], phis[idx], row_phase)
+        band, lo, hi = coherent_band(basis, thetas[idx], phis[idx], row_phase)
         # rows 2k and 2k+1 of the product are the real and imaginary parts for state k
         p = band.view(float).T @ eig.real_vectors[lo:hi]
         p *= p
@@ -183,23 +183,29 @@ def renyi_dimensions(weights: np.ndarray, q_values) -> tuple[np.ndarray, np.ndar
         raise ValueError("basis dimension must be at least 2 (ln N = 0 otherwise)")
     logn = np.log(dim)
     s = np.empty((n_states, len(q_values)))
-    wc = np.where(w >= WEIGHT_CUTOFF, w, 1.0)  # neutral value under w*ln(w) and counting
     support = w >= WEIGHT_CUTOFF
+    term = np.empty_like(w)
     for l, q in enumerate(q_values):
         if q < 0:
             raise ValueError(f"q must be >= 0, got {q}")
         if np.isinf(q):
             s[:, l] = -np.log(np.max(w, axis=1))
-        elif q == 1.0:
-            s[:, l] = -np.sum(np.where(support, wc * np.log(wc), 0.0), axis=1)
         elif q == 0.0:
             s[:, l] = np.log(np.count_nonzero(support, axis=1))
         else:
-            if q < 1.0:
-                mom = np.sum(np.where(support, wc**q, 0.0), axis=1)
-            else:
-                mom = np.sum(w**q, axis=1)
-            s[:, l] = np.log(mom) / (1.0 - q)
+            # terms w ln w (q = 1) or w^q; for q <= 1, weights below the cutoff add exact zeros
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if q == 1.0:
+                    np.log(w, out=term)
+                    term *= w
+                elif q == 2.0:
+                    np.square(w, out=term)
+                else:
+                    np.power(w, q, out=term)
+            if q <= 1.0:
+                np.copyto(term, 0.0, where=~support)
+            total = np.sum(term, axis=1)
+            s[:, l] = -total if q == 1.0 else np.log(total) / (1.0 - q)
     return s, s / logn
 
 

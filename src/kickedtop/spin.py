@@ -8,12 +8,21 @@ Basis ordering convention used everywhere in this package:
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
-__all__ = ["SpinBasis", "CoherentState", "angular_momentum", "coherent_state"]
+__all__ = [
+    "SpinBasis",
+    "CoherentState",
+    "angular_momentum",
+    "coherent_state",
+    "coherent_state_matrix",
+    "coherent_band",
+]
 
 # Amplitudes below this fraction of their column's largest are exact zeros:
 # dropping them moves weights by about one rounding unit, and subnormal
@@ -102,7 +111,8 @@ def coherent_state_matrix(basis: SpinBasis, thetas, phis) -> np.ndarray:
     """Column-stacked coherent states for many (theta, phi) points.
 
     Returns a dim x n complex array whose k-th column is the amplitude
-    vector of |theta_k, phi_k>, normalized to 1.
+    vector of |theta_k, phi_k>, normalized to 1: :func:`coherent_band`
+    placed in all 2j+1 rows.
 
     Amplitudes are zeta^(j-m) (1+|zeta|^2)^(-j) sqrt((2j)!/((j+m)!(j-m)!))
     with zeta = tan(theta/2) e^(i phi).  The factorial ratio and the
@@ -112,21 +122,22 @@ def coherent_state_matrix(basis: SpinBasis, thetas, phis) -> np.ndarray:
     Amplitudes below ``AMPLITUDE_CUTOFF`` times the column's largest are
     exact zeros, so no entry is subnormal.
     """
-    band, lo, hi = _coherent_band(basis, thetas, phis)
+    band, lo, hi = coherent_band(basis, thetas, phis)
     out = np.zeros((basis.dim, band.shape[1]), dtype=complex)
     out[lo:hi] = band
     return out
 
 
-def _coherent_band(basis: SpinBasis, thetas, phis, row_phase=None) -> tuple[np.ndarray, int, int]:
+def coherent_band(basis: SpinBasis, thetas, phis, row_phase=None) -> tuple[np.ndarray, int, int]:
     """Coherent states restricted to the Dicke rows they occupy.
 
     Returns ``(band, lo, hi)``: ``band[:, k]`` holds rows lo..hi-1 of
     column k of :func:`coherent_state_matrix`, and every row outside
     [lo, hi) is zero in every column.  A state is non-negligible only
     within O(sqrt j) rows of m = j cos(theta), so states of similar
-    theta share a narrow window.  With ``row_phase`` (one unit complex
-    per Dicke row) row i of every column is multiplied by row_phase[i].
+    theta share a narrow window; only the rows of :func:`_row_window`
+    are evaluated.  With ``row_phase`` (one unit complex per Dicke row)
+    row i of every column is multiplied by row_phase[i].
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -137,8 +148,15 @@ def _coherent_band(basis: SpinBasis, thetas, phis, row_phase=None) -> tuple[np.n
     if np.any(bad):
         raise ValueError(f"phi must be finite, got {phis[bad][0]}")
     j = basis.j
-    m = basis.m_values
-    ln_binom = gammaln(2 * j + 1) - gammaln(j + m + 1) - gammaln(j - m + 1)
+    with np.errstate(over="ignore"):
+        bad = ~np.isfinite(2 * j * phis)  # (j-m) phi for m = -j must be finite
+    if np.any(bad):
+        limit = np.finfo(float).max / (2 * j)
+        raise ValueError(
+            f"phi must satisfy 2j |phi| < 1.8e308, |phi| <= {limit:.6g} at j = {j}, got {phis[bad][0]}"
+        )
+    a, b = _row_window(j, thetas)
+    m = basis.m_values[a:b]
     t = np.tan(thetas / 2.0)
     north = t == 0.0  # also theta = 5e-324, whose half underflows
     south = thetas == np.pi
@@ -146,32 +164,68 @@ def _coherent_band(basis: SpinBasis, thetas, phis, row_phase=None) -> tuple[np.n
     t = np.where(interior, t, 1.0)
     log_mag = np.outer(j - m, np.log(t))
     log_mag -= j * np.log1p(t * t)[None, :]
-    log_mag += 0.5 * ln_binom[:, None]
+    log_mag += 0.5 * _ln_binomial(j)[a:b, None]
     log_mag[:, ~interior] = -np.inf
-    log_mag[-1, north] = 0.0
-    log_mag[0, south] = 0.0
+    log_mag[-1, north] = 0.0  # a pole's peak row is in the window, so b = dim here
+    log_mag[0, south] = 0.0  # and a = 0 here
     keep = log_mag >= log_mag.max(axis=0) + np.log(AMPLITUDE_CUTOFF)
     occupied = np.flatnonzero(np.any(keep, axis=1))
     lo, hi = (int(occupied[0]), int(occupied[-1]) + 1) if occupied.size else (0, 0)
-    mag = np.where(keep[lo:hi], np.exp(log_mag[lo:hi]), 0.0)
-    mag /= np.sqrt(np.einsum("rk,rk->k", mag, mag))
-    band = _phase_tiles(2 * j - lo, hi - lo, np.where(interior, phis, 0.0))  # poles carry no phase
+    mag = np.exp(log_mag[lo:hi], out=np.zeros((hi - lo, thetas.size)), where=keep[lo:hi])
+    scale = 1.0 / np.sqrt(np.einsum("rk,rk->k", mag, mag))
+    band = _phase_tiles(2 * j - a - lo, hi - lo, np.where(interior, phis, 0.0), scale)  # poles carry no phase
     if row_phase is not None:
-        band *= row_phase[lo:hi, None]
-    band.view(float).reshape(*mag.shape, 2)[...] *= mag[:, :, None]
-    return band, lo, hi
+        band *= row_phase[a + lo : a + hi, None]
+    band *= mag
+    return band, a + lo, a + hi
 
 
-def _phase_tiles(n0, rows: int, phis: np.ndarray) -> np.ndarray:
-    """e^(i (n0 - r) phi_k) for r < rows: a (rows, n) complex array.
+def _row_window(j: float, thetas: np.ndarray) -> tuple[int, int]:
+    """Dicke rows [a, b) outside which no amplitude of these states passes
+    ``AMPLITUDE_CUTOFF`` relative to its column's largest.
+
+    ln|c_m| is concave along the ladder: its second difference
+    (1/2) ln[(j-m)(j+m) / ((j-m+1)(j+m+1))] is at most -1/(j+1).  It
+    peaks at the smallest m with (j-m)/(j+m+1) <= tan^2(theta/2): m*,
+    the smallest ladder value at or above j cos(theta) - sin^2(theta/2)
+    (clipped to -j).  So ln|c_(m* +- k)| <= ln|c_m*| - k(k-1)/(2(j+1)),
+    and only rows with k(k-1) <= 2(j+1) ln(1/AMPLITUDE_CUTOFF) can pass.
+    One more row on each side absorbs a rounding of m* by one row.  At
+    j = 400 that is 178 rows on each side of the peak.
+    """
+    dim = round(2 * j) + 1
+    if thetas.size == 0:
+        return 0, dim
+    k_max = math.floor(0.5 + math.sqrt(0.25 - 2 * (j + 1) * math.log(AMPLITUDE_CUTOFF)))
+    peak = np.ceil(j * np.cos(thetas) - np.sin(thetas / 2.0) ** 2 + j)  # row index of m*
+    return max(int(peak.min()) - k_max - 1, 0), min(int(peak.max()) + k_max + 2, dim)
+
+
+@functools.lru_cache(maxsize=8)
+def _ln_binomial(j: float) -> np.ndarray:
+    """ln C(2j, j+m) for m = -j..j, memoized per j; the array is read-only.
+
+    Threads that miss on the same j at once only compute it twice.
+    """
+    m = SpinBasis(j).m_values
+    out = gammaln(2 * j + 1) - gammaln(j + m + 1) - gammaln(j - m + 1)
+    out.setflags(write=False)
+    return out
+
+
+def _phase_tiles(n0, rows: int, phis: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """scale_k e^(i (n0 - r) phi_k) for r < rows: a (rows, n) complex array.
 
     Row r = PHASE_TILE * a + b is coarse[a] * fine[b], with coarse[a] =
-    e^(i (n0 - PHASE_TILE a) phi) and fine[b] = e^(-i b phi), so each
-    entry costs one complex multiply instead of a complex exp.  phi is
-    split as top + rest with top on 26 bits, so n * top is exact for any
-    n < 2^27 and the coarse phases carry no rounding of the product
-    n * phi; the result agrees with the exactly rounded e^(i n phi) to
-    a few units of 1e-16 times max(1, PHASE_TILE |phi|).
+    scale e^(i (n0 - PHASE_TILE a) phi) and fine[b] = e^(-i b phi), so
+    each entry costs one complex multiply instead of a complex exp.  phi
+    is split as top + rest with top on 26 bits, so n * top is exact for
+    any n < 2^27 and the coarse phases carry no rounding of the product
+    n * phi.  The fine phases are products of the one exp e^(-i phi):
+    fine[k:2k] = fine[:k] e^(-i k phi) for k = 1, 2, 4, ..., with
+    e^(-i k phi) from repeated squaring, so each is at most nine
+    multiplies deep.  The result agrees with the exactly rounded
+    scale e^(i n phi) to a few units of 1e-15.
     """
     tiles = -(-rows // PHASE_TILE)
     n = n0 - PHASE_TILE * np.arange(tiles)[:, None]
@@ -179,5 +233,13 @@ def _phase_tiles(n0, rows: int, phis: np.ndarray) -> np.ndarray:
     split = np.clip(phis, -1e300, 1e300) * 134217729.0
     top = split - (split - phis)
     coarse = np.exp(1j * (n * top)) * np.exp(1j * (n * (phis - top)))
-    fine = np.exp(-1j * np.outer(np.arange(PHASE_TILE), phis))
+    coarse *= scale
+    fine = np.empty((PHASE_TILE, phis.size), dtype=complex)
+    fine[0] = 1.0
+    step = np.exp(-1j * phis)
+    k = 1
+    while k < PHASE_TILE:  # fine[k:2k] = fine[:k] e^(-i k phi)
+        np.multiply(fine[:k], step, out=fine[k : 2 * k])
+        step = step * step
+        k *= 2
     return (coarse[:, None, :] * fine).reshape(tiles * PHASE_TILE, phis.size)[:rows]

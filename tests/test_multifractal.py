@@ -10,6 +10,7 @@ from kickedtop.classical import GridSpec, haar_sphere, rng_for_task
 from kickedtop.floquet import FloquetEigensystem, KickedTopParams, diagonalize
 from kickedtop.multifractal import (
     BLOCK_STATES,
+    WEIGHT_CUTOFF,
     ExpansionCoefficients,
     averaged_dq,
     coherent_weights,
@@ -331,3 +332,45 @@ def test_single_dim_basis_rejected():
 def test_negative_q_rejected():
     with pytest.raises(ValueError):
         renyi_dimensions(np.full((1, 8), 0.125), (-1.0,))
+
+
+def _renyi_oracle(w, q_values):
+    """The masked-copy formula renyi_dimensions used before it took one
+    pass per order; kept as an oracle for bit-identical S_q."""
+    s = np.empty((w.shape[0], len(q_values)))
+    wc = np.where(w >= WEIGHT_CUTOFF, w, 1.0)
+    support = w >= WEIGHT_CUTOFF
+    for l, q in enumerate(q_values):
+        if np.isinf(q):
+            s[:, l] = -np.log(np.max(w, axis=1))
+        elif q == 1.0:
+            s[:, l] = -np.sum(np.where(support, wc * np.log(wc), 0.0), axis=1)
+        elif q == 0.0:
+            s[:, l] = np.log(np.count_nonzero(support, axis=1))
+        else:
+            if q < 1.0:
+                mom = np.sum(np.where(support, wc**q, 0.0), axis=1)
+            else:
+                mom = np.sum(w**q, axis=1)
+            s[:, l] = np.log(mom) / (1.0 - q)
+    return s
+
+
+@pytest.mark.parametrize("dim", [2, 9, 801])
+def test_renyi_bit_identical_to_masked_copy_formula(dim):
+    # exact zeros, subnormals, weights just below and at the cutoff, and
+    # ordinary weights, in every row
+    rng = np.random.default_rng(dim)
+    w = rng.random((40, dim)) ** 6
+    specials = np.array([0.0, 5e-324, 1e-310, 0.5 * WEIGHT_CUTOFF, WEIGHT_CUTOFF, 1e-200])
+    cols = rng.integers(0, dim, size=(40, 3))
+    w[np.arange(40)[:, None], cols] = rng.choice(specials, size=(40, 3))
+    w[0] = 0.0
+    w[0, 0] = 1.0  # a localized row
+    w[1, : dim // 2] = 0.0  # half the support
+    w /= w.sum(axis=1, keepdims=True)
+    qs = (0.0, 0.5, 1.0, 2.0, 3.0, np.inf)
+    s, d = renyi_dimensions(w, qs)
+    oracle = _renyi_oracle(w, qs)
+    assert np.array_equal(s, oracle)
+    assert np.array_equal(d, oracle / np.log(dim))

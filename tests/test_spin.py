@@ -2,13 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from kickedtop import spin
 from kickedtop.classical import haar_sphere, rng_for_task
 from kickedtop.spin import (
     AMPLITUDE_CUTOFF,
     SpinBasis,
     angular_momentum,
+    coherent_band,
     coherent_state,
     coherent_state_matrix,
 )
@@ -130,6 +134,16 @@ def test_phi_not_finite():
             coherent_state_matrix(SpinBasis(3), [1.0, 1.0], [0.0, bad])
 
 
+def test_phi_overflowing_the_phase_product():
+    # (j - m) phi reaches 2j |phi|; past the largest double it would be a NaN column
+    with pytest.raises(ValueError, match=r"2j \|phi\| < 1.8e308, \|phi\| <= 1.79769e\+307 at j = 5.0"):
+        coherent_state_matrix(SpinBasis(5), [1.0], [1.7e308])
+    with pytest.raises(ValueError, match="phi"):
+        coherent_state_matrix(SpinBasis(5), [1.0, 1.0], [0.0, -1.7e308])
+    amps = coherent_state_matrix(SpinBasis(5), [1.0], [1.7e307])  # 10 |phi| is finite
+    assert np.all(np.isfinite(amps)) and abs(np.linalg.norm(amps) - 1.0) < 1e-12
+
+
 def test_no_subnormal_amplitudes_and_cutoff_is_relative():
     # without the cutoff about 1% of these entries are subnormal, which
     # puts the expansion GEMM on the slow path
@@ -182,3 +196,60 @@ def test_tiled_phases_match_exact_exponential_at_large_j():
     phases = amps[rows, cols] / np.abs(amps[rows, cols])
     assert set(rows) == set(range(2 * j + 1))  # every Dicke row is checked
     assert np.max(np.abs(phases - exact)) < 1e-13
+
+
+def _full_rows(j, thetas):
+    return 0, round(2 * j) + 1
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    twoj=st.one_of(st.integers(1, 40), st.integers(1, 2000)),
+    thetas=st.lists(
+        st.one_of(
+            st.sampled_from([0.0, np.pi, 5e-324, 1e-9, np.pi - 1e-9]),
+            st.floats(0.0, np.pi),
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    with_row_phase=st.booleans(),
+)
+def test_row_window_band_equals_full_rows(twoj, thetas, seed, with_row_phase):
+    # the band evaluated on the proven row window is bit-identical to the
+    # one evaluated on all 2j+1 rows, and its nonzero entries are exactly
+    # those that the log-space formula keeps over all rows
+    j = twoj / 2
+    basis = SpinBasis(j)
+    thetas = np.array(thetas)
+    rng = np.random.default_rng(seed)
+    phis = rng.uniform(-10.0, 10.0, thetas.size)
+    row_phase = np.exp(2j * np.pi * rng.random(basis.dim)) if with_row_phase else None
+    band, lo, hi = coherent_band(basis, thetas, phis, row_phase)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spin, "_row_window", _full_rows)
+        full, full_lo, full_hi = coherent_band(basis, thetas, phis, row_phase)
+    assert (lo, hi) == (full_lo, full_hi)
+    assert np.array_equal(band, full)
+
+    m = basis.m_values
+    t = np.tan(thetas / 2)
+    interior = (t != 0) & (thetas != np.pi)
+    t = np.where(interior, t, 1.0)
+    with np.errstate(divide="ignore"):
+        log_mag = (
+            np.outer(j - m, np.log(t))
+            - j * np.log1p(t * t)
+            + 0.5 * (gammaln(2 * j + 1) - gammaln(j + m + 1) - gammaln(j - m + 1))[:, None]
+        )
+    log_mag[:, ~interior] = -np.inf
+    log_mag[-1, (~interior) & (thetas != np.pi)] = 0.0
+    log_mag[0, thetas == np.pi] = 0.0
+    keep = log_mag >= log_mag.max(axis=0) + np.log(AMPLITUDE_CUTOFF)
+    assert not keep[:lo].any() and not keep[hi:].any()
+    assert np.array_equal(keep[lo:hi], band != 0)
+    # the window is never tight: a row beyond the kept ones separates them
+    # from each end of the window that is not an end of the ladder
+    a, b = spin._row_window(j, thetas)
+    assert (a == 0 or lo > a) and (b == basis.dim or hi < b)
