@@ -25,6 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .floquet import KickedTopParams
 
@@ -284,7 +285,7 @@ def haar_sphere(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarra
 
 def rng_for_task(seed: int, task_index: int = 0) -> np.random.Generator:
     """Deterministic per-task RNG substream, independent of scheduling order."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(task_index))))
+    return default_rng(SeedSequence((int(seed), int(task_index))))
 
 
 def averaged_lyapunov(

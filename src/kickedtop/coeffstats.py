@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from math import lgamma
 
 import numpy as np
-from scipy.special import gammainc
 
 __all__ = [
     "RescaledCoefficients",
@@ -114,7 +113,13 @@ def chisq_logpdf_form(x, nu: int, mean_x: float = 1.0):
 
 def chisq_cdf(x, nu: int, mean_x: float = 1.0):
     """chi^2_nu cumulative: regularized lower incomplete gamma
-    F_nu(x) = gamma(nu/2, nu x / 2<x>) / Gamma(nu/2)."""
+    F_nu(x) = gamma(nu/2, nu x / 2<x>) / Gamma(nu/2).
+
+    The one scipy call in the package, imported here so that only the
+    ``coeffdist`` recipe pays for importing scipy.
+    """
+    from scipy.special import gammainc
+
     _check_nu(nu)
     x = np.asarray(x, dtype=float)
     return gammainc(0.5 * nu, 0.5 * nu * np.clip(x, 0.0, None) / mean_x)

@@ -17,7 +17,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .spin import SpinBasis, jx_tridiagonal
 
@@ -150,13 +149,31 @@ _JX_LOCK = threading.Lock()  # lru_cache alone lets two threads miss on the same
 @functools.lru_cache(maxsize=4)
 def _jx_eigensystem(j: float) -> tuple[np.ndarray, np.ndarray]:
     basis = SpinBasis(j)
-    d, e = jx_tridiagonal(basis)
-    try:
-        vals, vecs = sla.eigh_tridiagonal(d, e)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is pathological
-        raise DiagonalizationError(
-            f"J_x eigensolver failed for dim={basis.dim}: {exc}"
-        ) from exc
+    n = basis.dim
+    _, e = jx_tridiagonal(basis)
+    c = n // 2  # rows n-c.. are mirrored onto rows c-1, c-2, ..., 0
+    vals, vecs = np.empty(n), np.zeros((n, n))
+    # flip-symmetric columns sit at k = j, j-2, ...; antisymmetric ones between
+    for flip, cols in ((1.0, slice((n - 1) % 2, None, 2)), (-1.0, slice(n % 2, None, 2))):
+        mid = int(n % 2 == 1 and flip > 0)  # integer j: only symmetric vectors have an m = 0 entry
+        off = e[n - c - mid :].copy()
+        if mid:
+            off[0] *= np.sqrt(2.0)  # <0| J_x (|1> + |-1>)/sqrt2
+        half = np.diag(off, 1) + np.diag(off, -1)
+        if n % 2 == 0:
+            half[0, 0] = flip * e[c - 1]  # the coupling across the middle of the ladder
+        try:
+            w, u = np.linalg.eigh(half)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is pathological
+            raise DiagonalizationError(
+                f"J_x eigensolver failed for a half of dim={off.size + 1} at dim={n}: {exc}"
+            ) from exc
+        vals[cols] = w
+        if mid:
+            vecs[c, cols] = u[0]
+        upper = vecs[n - c :, cols]
+        np.multiply(u[mid:], np.sqrt(0.5), out=upper)
+        vecs[c - 1 :: -1, cols] = flip * upper
     k = basis.m_values  # same ladder as m, ascending
     defect = np.max(np.abs(vals - k))
     if defect > 1e-8 * max(1.0, basis.j):
@@ -169,10 +186,19 @@ def _jx_eigensystem(j: float) -> tuple[np.ndarray, np.ndarray]:
 def jx_eigenbasis(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues k_x = -j..j and orthonormal eigenvectors of J_x.
 
-    J_x is real symmetric tridiagonal in the Dicke basis; its exact
-    spectrum is the integer (or half-integer) ladder -j..j, so the
-    computed eigenvalues are snapped onto it after a sanity check.
-    Memoized for the last few j; the returned arrays are read-only.
+    J_x is real symmetric tridiagonal in the Dicke basis with a
+    palindromic off-diagonal, so it commutes with the flip m -> -m and
+    every eigenvector is exactly flip-symmetric (k = j, j-2, ...) or
+    flip-antisymmetric (the others).  Each kind is the eigenvector of
+    one half of the ladder, mirrored with 1/sqrt2: for integer j a
+    symmetric half of size j+1 whose first coupling, to m = 0, carries
+    a factor sqrt2, and an antisymmetric half of size j; for
+    half-integer j two halves of size j+1/2 that differ only in the
+    diagonal entry +-e across the middle of the ladder.  Each half is
+    one dense ``np.linalg.eigh``.  The exact spectrum is the integer (or
+    half-integer) ladder -j..j, so the computed eigenvalues are snapped
+    onto it after a sanity check.  Memoized for the last few j; the
+    returned arrays are read-only.
     """
     with _JX_LOCK:
         return _jx_eigensystem(basis.j)
@@ -211,14 +237,18 @@ def parity_operator(basis: SpinBasis) -> np.ndarray:
 def _clusters(x: np.ndarray, tol: float, wrap: bool = False) -> list[np.ndarray]:
     """Index runs of sorted ``x`` with consecutive gaps below ``tol``.
 
-    Only runs of two or more are returned.  With ``wrap`` the values are
-    phases on the circle: the gap x[0] + 2pi - x[-1] can merge the last
-    run into the first.
+    Only runs of two or more are returned, and only those are built.
+    With ``wrap`` the values are phases on the circle: the gap
+    x[0] + 2pi - x[-1] can merge the last run into the first.
     """
-    runs = np.split(np.arange(x.size), np.nonzero(np.diff(x) >= tol)[0] + 1)
-    if wrap and len(runs) > 1 and x[0] + 2 * np.pi - x[-1] < tol:
-        runs[0] = np.concatenate([runs.pop(), runs[0]])
-    return [r for r in runs if r.size > 1]
+    cuts = np.flatnonzero(np.diff(x) >= tol) + 1
+    starts, ends = np.append(0, cuts), np.append(cuts, x.size)
+    long = np.flatnonzero(ends - starts > 1)
+    if not (wrap and cuts.size and x[0] + 2 * np.pi - x[-1] < tol):
+        return [np.arange(starts[i], ends[i]) for i in long]
+    inner = long[(long > 0) & (long < cuts.size)]
+    merged = np.append(np.arange(starts[-1], x.size), np.arange(ends[0]))
+    return [merged] + [np.arange(starts[i], ends[i]) for i in inner]
 
 
 def _rotate(idx: np.ndarray, r: np.ndarray, *arrays: np.ndarray) -> None:

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "SpinBasis",
@@ -117,7 +116,9 @@ def coherent_state_matrix(basis: SpinBasis, thetas, phis) -> np.ndarray:
     Amplitudes are zeta^(j-m) (1+|zeta|^2)^(-j) sqrt((2j)!/((j+m)!(j-m)!))
     with zeta = tan(theta/2) e^(i phi).  The factorial ratio and the
     power of |zeta| are accumulated in log space so the construction
-    stays finite well past j ~ 85 where (2j)! overflows doubles.  The
+    stays finite well past j ~ 85 where (2j)! overflows doubles; the
+    factorial ratio enters as ln C(2j, j+m) from the exact integer
+    binomial (see :func:`_ln_binomial`).  The
     poles theta = 0, pi take the exact limits |j, +j> and |j, -j>.
     Amplitudes below ``AMPLITUDE_CUTOFF`` times the column's largest are
     exact zeros, so no entry is subnormal.
@@ -205,10 +206,20 @@ def _row_window(j: float, thetas: np.ndarray) -> tuple[int, int]:
 def _ln_binomial(j: float) -> np.ndarray:
     """ln C(2j, j+m) for m = -j..j, memoized per j; the array is read-only.
 
-    Threads that miss on the same j at once only compute it twice.
+    Each binomial is an exact integer, c <- c (2j-k) // (k+1) along the
+    row, and only its logarithm is rounded, so the array is exactly
+    symmetric in m and within about one unit in the last place of the
+    exact ln C: 1.4e-14 absolute at j = 150, 2.6e-13 up to j = 1000
+    (against 50-digit decimal logarithms).  A difference of log-gamma
+    values, each up to 1.3e4 at j = 1000, would carry 6.6e-13 at
+    j = 150 and 3.5e-12 at j = 1000.  Threads that miss on the same j
+    at once only compute it twice.
     """
-    m = SpinBasis(j).m_values
-    out = gammaln(2 * j + 1) - gammaln(j + m + 1) - gammaln(j - m + 1)
+    n = round(2 * j)
+    out, c = np.empty(n + 1), 1
+    for k in range(n + 1):
+        out[k] = math.log(c)
+        c = c * (n - k) // (k + 1)
     out.setflags(write=False)
     return out
 

@@ -386,6 +386,40 @@ def test_kappa_c_floor_warning_reaches_stderr(tmp_path):
     assert list(columns["kappa_c"]) == [10.0 / 512]  # the floor, written as before
 
 
+NO_SCIPY_RECIPES = """
+import json, sys
+from kickedtop.cli import main
+out = sys.argv[1]
+for argv in (
+    ["portrait", "--kappa", "3", "--orbits", "3", "--kicks", "5"],
+    ["lyapunov", "--kappa", "3", "--grid", "3", "--kicks", "20"],
+    ["lyapunov", "--mode", "scan", "--kappa", "1", "--alpha-grid", "1", "--samples", "4", "--kicks", "20"],
+    ["spectrum", "--j", "9", "--kappa", "0.4,7"],
+    ["spectrum", "--j", "9", "--kappa", "7", "--sector", "odd"],
+    ["multifractal", "--j", "6", "--kappa", "1", "--grid", "3"],
+    ["multifractal", "--mode", "scan", "--j-list", "5,6", "--kappa", "1", "--samples", "10"],
+    ["multifractal", "--mode", "scaling", "--j-list", "5,6", "--kappa", "7", "--samples", "10"],
+):
+    assert main(argv + ["--out", out, "--threads", "1"]) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_recipes_import_no_scipy(tmp_path):
+    # a fresh interpreter: this test process has scipy loaded already
+    src = str(Path(kickedtop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RECIPES, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    argv = ["coeffdist", "--j-list", "6", "--samples", "20", "--out", str(tmp_path / "coeff")]
+    proc = subprocess.run([sys.executable, "-m", "kickedtop.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert list((tmp_path / "coeff").glob("coeffdist_*.csv"))
+
+
 def test_usage_error_bad_domain(tmp_path):
     # physical-domain violations in resolved options are usage errors
     assert run("spectrum", "--j", "0", "--kappa", "1", "--out", tmp_path) == 1

@@ -20,7 +20,7 @@ from kickedtop.floquet import (
     parity_operator,
     wigner_d_matrix,
 )
-from kickedtop.spin import SpinBasis, angular_momentum, coherent_state
+from kickedtop.spin import SpinBasis, angular_momentum, coherent_state, jx_tridiagonal
 
 ALPHA = 4 * np.pi / 7
 
@@ -279,8 +279,12 @@ def test_eigensystem_stores_only_real_matrices():
     r = eig.real_vectors
     assert np.all(r[np.argmax(np.abs(r[:41]), axis=0), np.arange(81)] > 0)
     assert np.array_equal(eig.row_phases, params.half_kick)
-    phases = eig.eigenvectors / (eig.row_phases[:, None] * r)
-    assert np.max(np.abs(phases - phases[:1])) < 1e-14  # one unit phase per column
+    # odd-sector columns of R are flip-antisymmetric, exact zeros at m = 0
+    nonzero = r != 0
+    assert np.all(eig.eigenvectors[~nonzero] == 0)
+    phases = np.divide(eig.eigenvectors, eig.row_phases[:, None] * r, out=np.zeros_like(eig.eigenvectors), where=nonzero)
+    pivot = phases[np.argmax(np.abs(r), axis=0), np.arange(81)]
+    assert np.max(np.abs(phases - pivot)[nonzero]) < 1e-14  # one unit phase per column
     assert 0.0 < eig.max_residual <= 1e-9
 
 
@@ -289,6 +293,45 @@ def test_jx_eigenbasis_memoized_read_only():
     again = jx_eigenbasis(SpinBasis(17.0))
     assert again[0] is k and again[1] is v
     assert not k.flags.writeable and not v.flags.writeable
+
+
+@pytest.mark.parametrize("j", [0.5, 1, 7.5, 30, 101.5, 400])
+def test_jx_eigenbasis_from_flip_halves(j):
+    basis = SpinBasis(j)
+    k, v = jx_eigenbasis(basis)
+    n = basis.dim
+    # flip-symmetric columns at k = j, j-2, ..., antisymmetric in between
+    for i in range(n):
+        flip = 1.0 if (n - 1 - i) % 2 == 0 else -1.0
+        assert np.array_equal(v[::-1, i], flip * v[:, i])
+    assert np.array_equal(k, basis.m_values)
+    jx = angular_momentum(basis, "x").real
+    assert np.max(np.abs(jx @ v - v * k)) <= 1e-12 * max(1.0, j)
+    assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-14
+    d, e = jx_tridiagonal(basis)
+    _, ref = sla.eigh_tridiagonal(d, e)
+    signs = np.sign(np.sum(v * ref, axis=0))
+    assert np.max(np.abs(v - ref * signs)) <= 1e-13
+
+
+def test_clusters_match_split_oracle():
+    def oracle(x, tol, wrap):
+        runs = np.split(np.arange(x.size), np.nonzero(np.diff(x) >= tol)[0] + 1)
+        if wrap and len(runs) > 1 and x[0] + 2 * np.pi - x[-1] < tol:
+            runs[0] = np.concatenate([runs.pop(), runs[0]])
+        return [r for r in runs if r.size > 1]
+
+    rng = np.random.default_rng(5)
+    near = [-np.pi, -np.pi + 1e-5, -1.0, -1.0 + 1e-5, 0.0, 1e-5, 2e-5, np.pi - 2e-5, np.pi - 1e-6]
+    cases = [np.array([]), np.array([0.0]), np.array([0.0, 1e-5]), np.array([-np.pi, np.pi - 1e-5])]
+    for _ in range(2000):
+        picks = rng.choice(near, size=rng.integers(0, 10))
+        cases.append(np.sort(np.concatenate([picks, rng.uniform(-np.pi, np.pi, rng.integers(0, 4))])))
+    for x in cases:
+        for wrap in (False, True):
+            got, want = floquet._clusters(x, 1e-4, wrap), oracle(x, 1e-4, wrap)
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
 
 
 def test_jx_eigenbasis_computed_once_across_threads():
