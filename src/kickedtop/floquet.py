@@ -146,13 +146,36 @@ def _pivot_rows(r: np.ndarray) -> np.ndarray:
 _JX_LOCK = threading.Lock()  # lru_cache alone lets two threads miss on the same j
 
 
+def _mirror(half: np.ndarray, flip: float, n: int) -> np.ndarray:
+    """Dicke rows -j..j of flip-(anti)symmetric vectors given on their upper half.
+
+    ``half`` holds the rows m = 0..j (a flip-symmetric half of integer j,
+    whose m = 0 entry is kept as is) or m > 0; each row m > 0 is spread
+    as half[m]/sqrt2 onto the rows m and -m, with sign ``flip`` on -m, so
+    every column is exactly v(-m) = flip v(m).
+    """
+    c = n // 2  # rows n-c.. are mirrored onto rows c-1, c-2, ..., 0
+    mid = half.shape[0] - c
+    full = np.zeros((n, half.shape[1]))
+    if mid:
+        full[c] = half[0]
+    upper = full[n - c :]
+    np.multiply(half[mid:], np.sqrt(0.5), out=upper)
+    np.multiply(upper[::-1], flip, out=full[:c])
+    return full
+
+
 @functools.lru_cache(maxsize=4)
-def _jx_eigensystem(j: float) -> tuple[np.ndarray, np.ndarray]:
+def _jx_halves(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ladder k = -j..j and the flip-symmetric and -antisymmetric J_x halves.
+
+    The only eigensolve of J_x; callers hold ``_JX_LOCK``.
+    """
     basis = SpinBasis(j)
     n = basis.dim
     _, e = jx_tridiagonal(basis)
-    c = n // 2  # rows n-c.. are mirrored onto rows c-1, c-2, ..., 0
-    vals, vecs = np.empty(n), np.zeros((n, n))
+    c = n // 2
+    vals, halves = np.empty(n), []
     # flip-symmetric columns sit at k = j, j-2, ...; antisymmetric ones between
     for flip, cols in ((1.0, slice((n - 1) % 2, None, 2)), (-1.0, slice(n % 2, None, 2))):
         mid = int(n % 2 == 1 and flip > 0)  # integer j: only symmetric vectors have an m = 0 entry
@@ -169,16 +192,24 @@ def _jx_eigensystem(j: float) -> tuple[np.ndarray, np.ndarray]:
                 f"J_x eigensolver failed for a half of dim={off.size + 1} at dim={n}: {exc}"
             ) from exc
         vals[cols] = w
-        if mid:
-            vecs[c, cols] = u[0]
-        upper = vecs[n - c :, cols]
-        np.multiply(u[mid:], np.sqrt(0.5), out=upper)
-        vecs[c - 1 :: -1, cols] = flip * upper
+        u.setflags(write=False)
+        halves.append(u)
     k = basis.m_values  # same ladder as m, ascending
     defect = np.max(np.abs(vals - k))
     if defect > 1e-8 * max(1.0, basis.j):
         raise DiagonalizationError(f"J_x spectrum defect {defect:.3e} at dim={basis.dim}")
     k.setflags(write=False)
+    return k, halves[0], halves[1]
+
+
+@functools.lru_cache(maxsize=4)
+def _jx_dense(j: float) -> tuple[np.ndarray, np.ndarray]:
+    """The N x N J_x eigenvectors mirrored from the halves; callers hold ``_JX_LOCK``."""
+    k, sym, anti = _jx_halves(j)
+    n = k.size
+    vecs = np.empty((n, n))
+    vecs[:, (n - 1) % 2 :: 2] = _mirror(sym, 1.0, n)
+    vecs[:, n % 2 :: 2] = _mirror(anti, -1.0, n)
     vecs.setflags(write=False)
     return k, vecs
 
@@ -195,13 +226,16 @@ def jx_eigenbasis(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
     a factor sqrt2, and an antisymmetric half of size j; for
     half-integer j two halves of size j+1/2 that differ only in the
     diagonal entry +-e across the middle of the ladder.  Each half is
-    one dense ``np.linalg.eigh``.  The exact spectrum is the integer (or
-    half-integer) ladder -j..j, so the computed eigenvalues are snapped
-    onto it after a sanity check.  Memoized for the last few j; the
-    returned arrays are read-only.
+    one dense ``np.linalg.eigh``, memoized with the halves that
+    ``diagonalize`` reads; the N x N matrix is mirrored from them by the
+    helper ``diagonalize`` uses for its eigenvectors.  The exact
+    spectrum is the integer (or half-integer) ladder -j..j, so the
+    computed eigenvalues are snapped onto it after a sanity check.
+    Memoized for the last few j; the returned arrays are read-only.
+    Only the oracles ``wigner_d_matrix`` and ``parity_operator`` use it.
     """
     with _JX_LOCK:
-        return _jx_eigensystem(basis.j)
+        return _jx_dense(basis.j)
 
 
 def wigner_d_matrix(basis: SpinBasis, alpha: float) -> np.ndarray:
@@ -280,30 +314,35 @@ def _split_collision(idx: np.ndarray, o: np.ndarray, ao: np.ndarray, bo: np.ndar
 
 
 def _sector_eigensystem(
-    b: np.ndarray,
-    rotation: np.ndarray,
-    half_kick: np.ndarray,
-    jz2: np.ndarray,
+    u: np.ndarray,
+    k: np.ndarray,
+    h: np.ndarray,
+    m2: np.ndarray,
     gap_tol: float,
     params: KickedTopParams,
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Eigenphases and real eigenvectors of one parity block of F'.
 
-    ``b`` holds the sector's real J_x eigenvectors, ``rotation`` their
-    factors e^(-i alpha k).  The block M = W diag(rotation) W, with
-    W = b^T K^(1/2) b, is a complex-symmetric unitary A + iB; A and B are
-    commuting real symmetric matrices, so one real orthogonal O
-    diagonalizes both.  Returns (nu, O, number of gauge-fixed clusters,
+    The block is taken in the sector's flip-half Dicke basis, whose rows
+    m >= 0 carry ``h`` = diag K^(1/2) and ``m2`` = m^2.  ``u`` holds the
+    sector's J_x eigenvectors in that basis and ``k`` their eigenvalues,
+    so D(alpha) = u diag(e^(-i alpha k)) u^T = C - iS with the real
+    C = (u cos(alpha k)) u^T and S = (u sin(alpha k)) u^T, and the block
+    M = diag(h) (C - iS) diag(h) is a complex-symmetric unitary A + iB.
+    A and B are commuting real symmetric matrices, so one real orthogonal
+    O diagonalizes both.  Returns (nu, O, number of gauge-fixed clusters,
     largest eigen-residual).
     """
-    w = (b.T * half_kick.real) @ b + 1j * ((b.T * half_kick.imag) @ b)
-    block = (w * rotation) @ w
-    a, bi = np.ascontiguousarray(block.real), np.ascontiguousarray(block.imag)
+    c = (u * np.cos(params.alpha * k)) @ u.T
+    s = (u * np.sin(params.alpha * k)) @ u.T
+    hh = np.multiply.outer(h, h)
+    a = hh.real * c + hh.imag * s
+    bi = hh.imag * c - hh.real * s
     try:
         lam, o = np.linalg.eigh(a + _MIX * bi)
     except np.linalg.LinAlgError as exc:
         raise DiagonalizationError(
-            f"sector eigensolver failed for dim={b.shape[1]}, params={params}: {exc}"
+            f"sector eigensolver failed for dim={k.size}, params={params}: {exc}"
         ) from exc
     ao, bo = a @ o, bi @ o
     for idx in _clusters(lam, _SPLIT_TOL):
@@ -318,15 +357,15 @@ def _sector_eigensystem(
     # (Jz itself is parity-odd and compresses to zero)
     clusters = _clusters(nu, gap_tol, wrap=True)
     for idx in clusters:
-        q = b @ o[:, idx]
-        _, r = np.linalg.eigh(q.T @ (jz2[:, None] * q))
+        q = o[:, idx]
+        _, r = np.linalg.eigh(q.T @ (m2[:, None] * q))
         _rotate(idx, r, o, ao, bo)
 
     residual = np.sqrt(np.sum((ao - o * np.cos(nu)) ** 2 + (bo - o * np.sin(nu)) ** 2, axis=0))
     worst = float(np.max(residual))
     if not worst <= _RESIDUAL_TOL:
         raise DiagonalizationError(
-            f"eigen-residual {worst:.3e} in a parity block of dim={b.shape[1]}, params={params}"
+            f"eigen-residual {worst:.3e} in a parity block of dim={k.size}, params={params}"
         )
     return nu, o, len(clusters), worst
 
@@ -335,33 +374,35 @@ def diagonalize(params: KickedTopParams, gap_tol: float = 1e-10) -> FloquetEigen
     """Full parity-resolved eigensystem of F, one real symmetric eigensolve per sector.
 
     The kick is split symmetrically, F' = K^(1/2) D(alpha) K^(1/2) with
-    K = exp(-i kappa Jz^2 / 2j), so F = K^(1/2) F' K^(-1/2).  Each parity
-    block of F' is complex symmetric (the generalized time reversal of
-    the kicked top), so its eigenvectors o are real: they come from
-    eigh(A + cB), phases are read as nu = atan2(o^T B o, o^T A o), and
-    the eigenvectors of F are v = K^(1/2) b o.  Only the real R = b o is
-    kept, each column signed so its pivot entry (see
-    ``FloquetEigensystem.eigenvectors``) is positive, together with the
-    row phases diag K^(1/2).  Quasienergy clusters with internal gaps
-    below ``gap_tol`` get a deterministic gauge from the compressed Jz^2
-    and are counted in ``degenerate_clusters``.  Every block is checked
-    for |M o - e^(i nu) o| before returning; a failure raises
+    K = exp(-i kappa Jz^2 / 2j), so F = K^(1/2) F' K^(-1/2).  For integer
+    j the parity sectors are the flip halves m -> -m: the even sector has
+    the basis {|0>, (|m> + |-m>)/sqrt2} and the odd one {(|m> - |-m>)/sqrt2},
+    m = 1..j, and K^(1/2) is diagonal in both.  Each parity block of F'
+    is complex symmetric in that real basis (the generalized time
+    reversal of the kicked top), so its eigenvectors o are real: they
+    come from eigh(A + cB), phases are read as nu = atan2(o^T B o, o^T A o),
+    and the eigenvectors of F are v = K^(1/2) R with R the mirrored o,
+    whose columns are exactly flip-symmetric (even) or -antisymmetric
+    (odd).  Only the real R is kept, each column signed so its pivot
+    entry (see ``FloquetEigensystem.eigenvectors``) is positive, together
+    with the row phases diag K^(1/2).  Quasienergy clusters with internal
+    gaps below ``gap_tol`` get a deterministic gauge from the compressed
+    Jz^2 and are counted in ``degenerate_clusters``.  Every block is
+    checked for |M o - e^(i nu) o| before returning; a failure raises
     DiagonalizationError, and the larger of the two blocks' residuals is
     kept as ``max_residual``.
     """
-    basis = params.basis
-    k, v = jx_eigenbasis(basis)
-    m = basis.m_values
+    j, n = params.j, params.basis.dim
+    with _JX_LOCK:
+        k, u_even, u_odd = _jx_halves(float(j))
     h = params.half_kick
-    rotation = np.exp(-1j * params.alpha * k)
-    jz2 = m * m
+    h_half, m2 = h[j:], np.arange(j + 1.0) ** 2  # on the rows m = 0..j
 
     nus, vec_blocks, pars, n_clusters, worst = [], [], [], 0, 0.0
-    for par, cols in ((EVEN, slice(0, None, 2)), (ODD, slice(1, None, 2))):
-        b = v[:, cols]
-        nu, o, clusters, residual = _sector_eigensystem(b, rotation[cols], h, jz2, gap_tol, params)
+    for par, u, ks, first in ((EVEN, u_even, k[0::2], 0), (ODD, u_odd, k[1::2], 1)):
+        nu, o, clusters, residual = _sector_eigensystem(u, ks, h_half[first:], m2[first:], gap_tol, params)
         nus.append(nu)
-        vec_blocks.append(b @ o)
+        vec_blocks.append(_mirror(o, par, n))
         pars.append(np.full(nu.size, par, dtype=np.int8))
         n_clusters += clusters
         worst = max(worst, residual)
@@ -370,7 +411,7 @@ def diagonalize(params: KickedTopParams, gap_tol: float = 1e-10) -> FloquetEigen
     parities = np.concatenate(pars)
     order = np.lexsort((parities == ODD, nu))  # ascending nu, even first on ties
     real = np.concatenate(vec_blocks, axis=1)[:, order]
-    real *= np.sign(real[_pivot_rows(real), np.arange(basis.dim)])
+    real *= np.sign(real[_pivot_rows(real), np.arange(n)])
     return FloquetEigensystem(
         quasienergies=nu[order],
         real_vectors=real,

@@ -335,7 +335,8 @@ def test_clusters_match_split_oracle():
 
 
 def test_jx_eigenbasis_computed_once_across_threads():
-    floquet._jx_eigensystem.cache_clear()
+    floquet._jx_halves.cache_clear()
+    floquet._jx_dense.cache_clear()
     n_threads = 4  # more than the cores of a small CI runner
     barrier = threading.Barrier(n_threads)
 
@@ -346,7 +347,49 @@ def test_jx_eigenbasis_computed_once_across_threads():
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         results = list(pool.map(fetch, range(n_threads)))
     assert all(r[1] is results[0][1] for r in results)
-    assert floquet._jx_eigensystem.cache_info().misses == 1
+    assert floquet._jx_halves.cache_info().misses == 1
+
+
+def test_diagonalize_solves_jx_once_across_threads():
+    floquet._jx_halves.cache_clear()
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+
+    def solve(i):
+        barrier.wait()
+        return diagonalize(KickedTopParams(alpha=ALPHA, kappa=1.0 + i, j=250))
+
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        list(pool.map(solve, range(n_threads)))
+    assert floquet._jx_halves.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.4, 7.0])
+@pytest.mark.parametrize("j", [1, 2, 3, 40, 200])
+def test_eigenvectors_exactly_flip_symmetric(j, kappa):
+    eig = eigensystem(j, kappa)
+    r = eig.real_vectors
+    assert np.array_equal(r[::-1], r * eig.parities)
+
+
+@pytest.mark.parametrize("kappa", [0.4, 1.7, 3.0, 7.0])
+@pytest.mark.parametrize("j", [20, 60, 200])
+def test_sectors_match_full_row_oracle(j, kappa):
+    # each sector block in the full-row J_x basis: W = b^T K^(1/2) b, M = W diag(e^(-i alpha k)) W
+    params = KickedTopParams(alpha=ALPHA, kappa=kappa, j=j)
+    eig = diagonalize(params)
+    k, v = jx_eigenbasis(params.basis)
+    for parity, cols in (("even", slice(0, None, 2)), ("odd", slice(1, None, 2))):
+        b = v[:, cols]
+        w = (b.T * params.half_kick) @ b
+        block = (w * np.exp(-1j * ALPHA * k[cols])) @ w
+        _, o = np.linalg.eigh(block.real + floquet._MIX * block.imag)
+        nu = np.arctan2(np.sum(o * (block.imag @ o), axis=0), np.sum(o * (block.real @ o), axis=0))
+        nu[nu >= np.pi] -= 2 * np.pi
+        assert np.max(np.abs(np.sort(nu) - eig.sector(parity))) <= 1e-13
+    r = eig.real_vectors
+    assert np.max(np.abs(r.T @ r - np.eye(2 * j + 1))) <= 1e-14
+    assert eig.max_residual <= 1e-9
 
 
 def test_determinant_modulus_one():
