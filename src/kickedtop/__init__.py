@@ -35,6 +35,7 @@ from .floquet import (
     FloquetEigensystem,
     FloquetOperator,
     KickedTopParams,
+    SectorEigensystem,
     build_floquet,
     diagonalize,
     evolve_state,

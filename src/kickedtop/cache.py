@@ -1,33 +1,38 @@
-"""Binary on-disk cache of Floquet eigensystems keyed by (j, kappa, alpha).
+"""Binary on-disk cache of Floquet eigensystems, one file per parity sector.
 
 Eigendecomposition dominates runtime for parameter scans, so the CLI
-caches each eigensystem the first time it is computed.  File layout
-(all fields little-endian, in order):
+caches each parity sector the first time it is solved, keyed by
+(j, kappa, alpha, sector).  A recipe that needs one sector (``spectrum``)
+reads and writes only that one; one that needs both reads both files and
+solves only a sector whose file is missing.  File layout (all fields
+little-endian, in order), with n the sector dimension (j + 1 for the
+even sector, j for the odd one):
 
     offset  size            field
     0       8               magic  b"KTEIGSYS"
-    8       u4              format version (currently 3)
+    8       u4              format version (currently 4)
     12      u4              dim (= 2j + 1)
     16      f8              j
     24      f8              kappa
     32      f8              alpha
-    40      u4              degenerate_clusters
-    44      u4              zero padding
+    40      i4              parity (+1 even, -1 odd)
+    44      u4              degenerate_clusters
     48      f8              max_residual
-    56      dim*dim * f8    real eigenvector matrix R, C (row-major)
+    56      n*n * f8        the sector's real half vectors O, C (row-major)
                             order; column i pairs with quasienergy i
-    ...     dim * f8        quasienergies, ascending
-    ...     dim * i1        parities (+1 even, -1 odd)
+    ...     n * f8          the sector's quasienergies, ascending
     ...     u4              CRC-32 of all preceding bytes
 
-The row phases diag K^(1/2) follow from (j, kappa) and are not stored.
-The padding keeps R 8-byte aligned, so a loaded file is used in place
-without copying.  Format-2 files, which held the complex eigenvectors,
-are misses and get recomputed.  Files are written to a
-temporary name in the same directory and renamed into place, so a
-reader never sees a partial file.  Files are named by the first 16 hex
-digits of the SHA-256 of the parameter triple, so a parameter mismatch
-simply misses the cache.
+so a file holds 8n^2 + 8n + 60 bytes.  The row phases diag K^(1/2)
+follow from (j, kappa) and are not stored.  The header keeps O 8-byte
+aligned, so a loaded file is used in place without copying.  Files of
+formats 1-3 (format 3 held the mirrored N x N matrix of both sectors),
+files whose header names other parameters or the other sector, and
+files with a bad checksum are misses and get recomputed.  Files are
+written to a temporary name in the same directory and renamed into
+place, so a reader never sees a partial file.  Files are named by the
+first 16 hex digits of the SHA-256 of the parameter triple and the
+sector, so a parameter mismatch simply misses the cache.
 """
 
 from __future__ import annotations
@@ -41,13 +46,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .floquet import FloquetEigensystem, KickedTopParams, diagonalize
+from .floquet import (
+    _PARITY,
+    SECTORS,
+    FloquetEigensystem,
+    KickedTopParams,
+    SectorEigensystem,
+    _half_dim,
+    diagonalize,
+)
 
 __all__ = ["cache_path", "save_eigensystem", "load_eigensystem", "cached_eigensystem"]
 
 MAGIC = b"KTEIGSYS"
-VERSION = 3
-HEADER = struct.Struct("<8sII3dIId")
+VERSION = 4
+HEADER = struct.Struct("<8sII3diId")
 CRC = struct.Struct("<I")
 
 
@@ -60,23 +73,24 @@ def cache_key(params: KickedTopParams) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def cache_path(cache_dir, params: KickedTopParams) -> Path:
-    return Path(cache_dir) / f"eig_{cache_key(params)}.ktc"
+def cache_path(cache_dir, params: KickedTopParams, sector: str) -> Path:
+    return Path(cache_dir) / f"eig_{cache_key(params)}_{sector}.ktc"
 
 
-def save_eigensystem(path, eig: FloquetEigensystem) -> None:
+def save_eigensystem(path, eig: FloquetEigensystem, sector: str) -> None:
+    """Write the sector 'even' or 'odd' of ``eig`` to ``path``, atomically."""
     if eig.params is None:
         raise ValueError("cannot cache an eigensystem without params")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    p = eig.params
+    p, block = eig.params, eig.block(sector)
     parts = [
         HEADER.pack(
-            MAGIC, VERSION, eig.dim, p.j, p.kappa, p.alpha, eig.degenerate_clusters, 0, eig.max_residual
+            MAGIC, VERSION, eig.dim, p.j, p.kappa, p.alpha, block.parity, block.degenerate_clusters,
+            block.max_residual,
         ),
-        np.ascontiguousarray(eig.real_vectors, dtype="<f8"),
-        np.ascontiguousarray(eig.quasienergies, dtype="<f8"),
-        np.ascontiguousarray(eig.parities, dtype="<i1"),
+        np.ascontiguousarray(block.vectors, dtype="<f8"),
+        np.ascontiguousarray(block.quasienergies, dtype="<f8"),
     ]
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
@@ -92,7 +106,7 @@ def save_eigensystem(path, eig: FloquetEigensystem) -> None:
 
 
 def load_eigensystem(path) -> FloquetEigensystem:
-    """Read a cached eigensystem; raises CacheFormatError on any mismatch."""
+    """Read a cached sector as a one-sector eigensystem; raises CacheFormatError on any mismatch."""
     path = Path(path)
     with open(path, "rb") as fh:
         buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
@@ -102,47 +116,55 @@ def load_eigensystem(path) -> FloquetEigensystem:
         raise CacheFormatError(f"{path}: bad magic {bytes(buf[:len(MAGIC)])!r}")
     if buf.size < HEADER.size + CRC.size:
         raise CacheFormatError(f"{path}: truncated file")
-    _, version, dim, j, kappa, alpha, clusters, _, residual = HEADER.unpack_from(buf)
+    _, version, dim, j, kappa, alpha, parity, clusters, residual = HEADER.unpack_from(buf)
     if version != VERSION:
         raise CacheFormatError(f"{path}: version {version}, expected {VERSION}")
-    if dim != round(2 * j) + 1:
-        raise CacheFormatError(f"{path}: dim {dim} inconsistent with j={j}")
-    vec_end = HEADER.size + 8 * dim * dim
-    nu_end = vec_end + 8 * dim
-    if buf.size != nu_end + dim + CRC.size:
+    if dim != round(2 * j) + 1 or parity not in (1, -1):
+        raise CacheFormatError(f"{path}: dim {dim} or parity {parity} inconsistent with j={j}")
+    n = _half_dim(parity, dim)
+    vec_end = HEADER.size + 8 * n * n
+    nu_end = vec_end + 8 * n
+    if buf.size != nu_end + CRC.size:
         raise CacheFormatError(f"{path}: truncated file")
     if zlib.crc32(buf[: -CRC.size]) != CRC.unpack_from(buf, buf.size - CRC.size)[0]:
         raise CacheFormatError(f"{path}: checksum mismatch")
     params = KickedTopParams(alpha=float(alpha), kappa=float(kappa), j=int(round(j)))
-    return FloquetEigensystem(
+    block = SectorEigensystem(
+        parity=parity,
         quasienergies=buf[vec_end:nu_end].view("<f8"),
-        real_vectors=buf[HEADER.size : vec_end].view("<f8").reshape(dim, dim),
-        row_phases=params.half_kick,
-        parities=buf[nu_end : nu_end + dim].view(np.int8),
-        params=params,
+        vectors=buf[HEADER.size : vec_end].view("<f8").reshape(n, n),
         degenerate_clusters=clusters,
         max_residual=residual,
     )
+    return FloquetEigensystem(sectors=(block,), row_phases=params.half_kick, params=params)
 
 
-def cached_eigensystem(params: KickedTopParams, cache_dir=None) -> FloquetEigensystem:
-    """Compute (or fetch) the full parity-resolved eigensystem of F.
+def cached_eigensystem(params: KickedTopParams, cache_dir=None, sectors=SECTORS) -> FloquetEigensystem:
+    """Compute (or fetch) the parity sectors ``sectors`` of F's eigensystem.
 
-    With ``cache_dir`` set, a valid cache file for these exact parameters
-    is used when present, and new results are written back.  Unreadable,
-    corrupt, older-format or mismatched files are silently recomputed and
-    overwritten.
+    With ``cache_dir`` set, a valid file for these exact parameters and
+    sector is used when present; only the sectors without one are
+    solved, in one ``diagonalize`` call, and written back.  Unreadable,
+    corrupt, older-format or mismatched files are silently recomputed
+    and overwritten.
     """
+    found = {}
     if cache_dir is not None:
-        path = cache_path(cache_dir, params)
-        if path.exists():
-            try:
-                eig = load_eigensystem(path)
-                if eig.params == params:
-                    return eig
-            except (CacheFormatError, OSError):
-                pass
-    eig = diagonalize(params)
-    if cache_dir is not None:
-        save_eigensystem(cache_path(cache_dir, params), eig)
-    return eig
+        for sector in sectors:
+            path = cache_path(cache_dir, params, sector)
+            if path.exists():
+                try:
+                    eig = load_eigensystem(path)
+                except (CacheFormatError, OSError):
+                    continue
+                if eig.params == params and eig.sectors[0].parity == _PARITY[sector]:
+                    found[sector] = eig.sectors[0]
+    missing = [s for s in sectors if s not in found]
+    if missing:
+        eig = diagonalize(params, sectors=missing)
+        for sector in missing:
+            found[sector] = eig.block(sector)
+            if cache_dir is not None:
+                save_eigensystem(cache_path(cache_dir, params, sector), eig, sector)
+    blocks = tuple(found[s] for s in SECTORS if s in found)
+    return FloquetEigensystem(sectors=blocks, row_phases=params.half_kick, params=params)

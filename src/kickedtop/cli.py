@@ -49,7 +49,7 @@ from .coeffstats import (
     empirical_log_histogram,
     pool_rescaled,
 )
-from .floquet import DiagonalizationError, KickedTopParams
+from .floquet import SECTORS, DiagonalizationError, KickedTopParams
 from .io import write_csv, write_manifest
 from .multifractal import averaged_dq, coherent_weights, dq_field, scaling_fit
 from .spectral import fit_brody, ratio_stats, spacings_from_quasienergies
@@ -242,8 +242,8 @@ class Run:
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             return list(pool.map(compute, range(len(points)), points))
 
-    def eigensystem(self, params):
-        return cached_eigensystem(params, self.cache)
+    def eigensystem(self, params, sectors=SECTORS):
+        return cached_eigensystem(params, self.cache, sectors)
 
     def metadata(self, **extra) -> dict:
         # the thread count does not change the results, so only the manifest has it
@@ -259,7 +259,7 @@ class Run:
     def emit_each(self, stem, points, tables, **extra):
         """One CSV ``<stem>_kappa<kappa>.csv`` per point of a scan over kappa."""
         for p, columns in zip(points, tables):
-            self.emit(f"{stem}_kappa{_ktag(p.kappa)}.csv", columns, kappa=repr(p.kappa), **extra)
+            self.emit(f"{stem}_{_tag(p)}.csv", columns, kappa=repr(p.kappa), **extra)
 
     def emit_rows(self, name, header, rows, **extra):
         """Emit row tuples as a CSV with one column per name in ``header``."""
@@ -278,8 +278,24 @@ class Run:
         return 0
 
 
-def _ktag(value: float) -> str:
-    return ("%g" % value).replace(".", "p").replace("-", "m")
+def _tag(p: KickedTopParams, with_j: bool = False) -> str:
+    """File-name tag of a scan point: ``kappa<kappa>``, or ``j<j>_kappa<kappa>``."""
+    kappa = ("%g" % p.kappa).replace(".", "p").replace("-", "m")
+    return f"j{p.j}_kappa{kappa}" if with_j else f"kappa{kappa}"
+
+
+def _check_file_names(points, with_j: bool = False) -> None:
+    """Before any work: a recipe that writes one file per point must not
+    give two points one tag, or it would write one file twice."""
+    seen = set()
+    for p in points:
+        tag = _tag(p, with_j)
+        if tag in seen:
+            raise UsageError(
+                f"two scan points share the output name {tag!r} (kappa={p.kappa!r}); "
+                "kappa values must differ within 6 significant digits"
+            )
+        seen.add(tag)
 
 
 # ---------------------------------------------------------------- portrait
@@ -290,6 +306,7 @@ def cmd_portrait(args) -> int:
     orbits = run.count("orbits", 289, 1)
     kicks = run.count("kicks", 300, 0)
     points = run.grid(run.kappas(), [run.opt("j", 1, int)])  # classical map: j only recorded
+    _check_file_names(points)
 
     def one(_, p):
         phi, theta, orbit = phase_portrait(p, n_orbits=orbits, n_kicks=kicks, seed=run.seed)
@@ -312,6 +329,7 @@ def cmd_lyapunov(args) -> int:
         spec = GridSpec(n_phi=n_grid, n_theta=n_grid)
         phi, theta = spec.mesh()
         points = run.grid(run.kappas(), [j])
+        _check_file_names(points)
 
         def field(_, p):
             lam = lyapunov_field(p, spec, n_kicks=kicks).grid.ravel()
@@ -356,9 +374,10 @@ def cmd_spectrum(args) -> int:
     sector = str(run.opt("sector", "even", str))
     bins = np.linspace(0.0, 4.0, run.count("bins", 50, 1) + 1)
     points = run.grid(run.kappas(), [j])
+    _check_file_names(points)
 
     def one(_, p):
-        nu = run.eigensystem(p).sector(sector)
+        nu = run.eigensystem(p, (sector,)).sector(sector)
         ens = spacings_from_quasienergies(nu, periodic=True)
         density, _ = np.histogram(ens.spacings, bins=bins, density=True)
         return p.kappa, fit_brody(ens).beta, ratio_stats(ens.raw_gaps).mean_r, nu.size, density
@@ -417,6 +436,7 @@ def cmd_multifractal(args) -> int:
         spec = GridSpec(n_phi=n_grid, n_theta=n_grid)
         phi, theta = spec.mesh()
         points = run.grid(run.kappas(), [j])
+        _check_file_names(points)
 
         def field(_, p):
             dq = dq_field(p.basis, run.eigensystem(p), spec, qs)
@@ -468,6 +488,7 @@ def cmd_coeffdist(args) -> int:
     samples = run.count("samples", 10_000, 1)
     js = parse_values(str(run.opt("j-list", "150", str)))
     points = run.grid(run.kappas(), js)
+    _check_file_names(points, with_j=True)
 
     def one(idx, p):
         # reduce the pooled weights in the task: only what is emitted outlives it
@@ -482,7 +503,7 @@ def cmd_coeffdist(args) -> int:
 
     results = run.scan(one, points)
     for p, (hist, ref, (grid, f_emp, f_ref), _) in zip(points, results):
-        tag = f"j{p.j}_kappa{_ktag(p.kappa)}.csv"
+        tag = f"{_tag(p, with_j=True)}.csv"
         meta = {"j": p.j, "kappa": repr(p.kappa), "nu": nu}
         hist_columns = {"lnx_bin": hist.centers, "density": hist.density, "reference_density": ref}
         run.emit(f"lnx_hist_{tag}", hist_columns, **meta, zeros_excluded=hist.n_zero_excluded)

@@ -24,6 +24,7 @@ __all__ = [
     "KickedTopParams",
     "FloquetOperator",
     "FloquetEigensystem",
+    "SectorEigensystem",
     "DiagonalizationError",
     "wigner_d_matrix",
     "build_floquet",
@@ -33,6 +34,8 @@ __all__ = [
 ]
 
 EVEN, ODD = 1, -1
+SECTORS = ("even", "odd")
+_PARITY = {"even": EVEN, "odd": ODD}
 
 # c in the mixed matrix A + cB; irrational, so the fold point atan(c) of
 # the map nu -> cos(nu) + c sin(nu) is no rational multiple of pi
@@ -90,33 +93,106 @@ class FloquetOperator:
 
 
 @dataclass(frozen=True)
-class FloquetEigensystem:
-    """Quasienergies in [-pi, pi), real eigenvector matrix, parity labels.
+class SectorEigensystem:
+    """One parity sector of F as it is solved: sorted eigenphases, real half vectors.
 
-    The eigenvectors of F are v_i = diag(row_phases) r_i c_i with
-    ``r_i = real_vectors[:, i]`` real and c_i a unit phase per column, so
-    weights |<v_i|psi>|^2 = |r_i^T (row_phases* psi)|^2 need no complex
-    matrix.  ``real_vectors`` is float64 N x N, ``row_phases`` the per-row
-    kick phase diag K^(1/2).  Column i belongs to ``quasienergies[i]``;
-    ``parities[i]`` is +1 (even) or -1 (odd).  Sorted by quasienergy
-    ascending, ties broken even-first.  ``degenerate_clusters`` counts the
-    degenerate quasienergy clusters within a parity sector whose gauge was
-    fixed (see ``diagonalize``); nonzero values flag gauge-dependent
-    downstream quantities.  ``max_residual`` is the largest eigen-residual
-    |M o - e^(i nu) o| over both parity blocks.
+    ``vectors[:, i]`` is the real eigenvector o_i of the sector's block of
+    F' (see ``diagonalize``) for ``quasienergies[i]``, which ascend.  Its
+    rows are the sector's flip half of the Dicke rows: m = 0..j for the
+    half that holds m = 0, m = 1..j (or 1/2..j for half-integer j) for
+    the others.  On the rows -j..j the eigenvector is r_i with
+    r_i(m) = o_i(m)/sqrt2 and r_i(-m) = flip o_i(m)/sqrt2 for m > 0, and
+    r_i(0) = o_i(0); flip is the parity for integer j (see ``_flip``).
+    ``degenerate_clusters`` counts the sector's gauge-fixed degenerate
+    clusters and ``max_residual`` is its largest |M o - e^(i nu) o|.
     """
 
+    parity: int
     quasienergies: np.ndarray = field(repr=False)
-    real_vectors: np.ndarray = field(repr=False)
-    row_phases: np.ndarray = field(repr=False)
-    parities: np.ndarray = field(repr=False)
-    params: KickedTopParams | None = None
+    vectors: np.ndarray = field(repr=False)
     degenerate_clusters: int = 0
     max_residual: float = 0.0
 
+
+@dataclass(frozen=True)
+class FloquetEigensystem:
+    """Parity sectors of F, each kept as solved, and the row phases of F.
+
+    ``sectors`` holds one or both ``SectorEigensystem``, even before odd,
+    and ``row_phases`` the per-row kick phases h = diag K^(1/2) over the
+    Dicke rows -j..j.  The eigenvectors of F are v_i = diag(h) r_i c_i
+    with r_i real, the mirrored half vector of its sector, and c_i a unit
+    phase per column, so weights |<v_i|psi>|^2 = |r_i^T (h* psi)|^2 need
+    no complex matrix, and no N x N one either: r_i^T y = o_i^T fold(y)
+    (see ``multifractal._weight_blocks``).  ``degenerate_clusters`` sums
+    the sectors' gauge-fixed clusters (nonzero values flag
+    gauge-dependent downstream quantities) and ``max_residual`` is the
+    largest of their residuals.
+
+    ``quasienergies``, ``parities``, ``real_vectors`` and ``eigenvectors``
+    are derived from the sectors held, on each access, for the oracles
+    and the library API: their columns are sorted by quasienergy
+    ascending, ties even first, and column i is column ``order[i]`` of
+    the sectors side by side.  ``parities[i]`` is +1 (even) or -1 (odd).
+    """
+
+    sectors: tuple
+    row_phases: np.ndarray = field(repr=False)
+    params: KickedTopParams | None = None
+
     @property
     def dim(self) -> int:
-        return self.quasienergies.size
+        return self.row_phases.size
+
+    @property
+    def degenerate_clusters(self) -> int:
+        return sum(s.degenerate_clusters for s in self.sectors)
+
+    @property
+    def max_residual(self) -> float:
+        return max(s.max_residual for s in self.sectors)
+
+    def block(self, parity: str) -> SectorEigensystem:
+        """The sector 'even' or 'odd'; ValueError when it is not held."""
+        want = _PARITY[parity]
+        for s in self.sectors:
+            if s.parity == want:
+                return s
+        raise ValueError(f"the {parity} sector of this eigensystem was not solved")
+
+    def sector(self, parity: str) -> np.ndarray:
+        """Quasienergies of one parity sector ('even' or 'odd'), sorted (the stored array)."""
+        return self.block(parity).quasienergies
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Quasienergies and parities of the sectors side by side, and ``order``."""
+        nu = np.concatenate([s.quasienergies for s in self.sectors])
+        par = np.concatenate([np.full(s.quasienergies.size, s.parity, dtype=np.int8) for s in self.sectors])
+        return nu, par, np.lexsort((par == ODD, nu))  # ascending nu, even first on ties
+
+    @property
+    def order(self) -> np.ndarray:
+        return self._columns()[2]
+
+    @property
+    def quasienergies(self) -> np.ndarray:
+        nu, _, order = self._columns()
+        return nu[order]
+
+    @property
+    def parities(self) -> np.ndarray:
+        _, par, order = self._columns()
+        return par[order]
+
+    @property
+    def real_vectors(self) -> np.ndarray:
+        """Real eigenvectors r_i on the rows -j..j, each signed so its pivot
+        entry (see ``eigenvectors``) is positive."""
+        n = self.dim
+        halves = [_mirror(s.vectors, _flip(s.parity, n), n) for s in self.sectors]
+        r = np.concatenate(halves, axis=1)[:, self.order]
+        r *= np.sign(r[_pivot_rows(r), np.arange(r.shape[1])])
+        return r
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -124,18 +200,12 @@ class FloquetEigensystem:
 
         Each column is turned so its largest-magnitude entry is real
         positive; parity makes |v(m)| = |v(-m)|, so the pivot is sought
-        among m <= 0 lest rounding pick the row.  Built on each access.
+        among m <= 0 lest rounding pick the row.
         """
         r, h = self.real_vectors, self.row_phases
-        pivot = _pivot_rows(r)
-        vecs = r * (np.sign(r[pivot, np.arange(self.dim)]) * h[pivot].conj())
+        vecs = r * h[_pivot_rows(r)].conj()
         vecs *= h[:, None]
         return vecs
-
-    def sector(self, parity: str) -> np.ndarray:
-        """Quasienergies of one parity sector ('even' or 'odd'), sorted."""
-        want = EVEN if parity == "even" else ODD
-        return np.sort(self.quasienergies[self.parities == want])
 
 
 def _pivot_rows(r: np.ndarray) -> np.ndarray:
@@ -143,7 +213,28 @@ def _pivot_rows(r: np.ndarray) -> np.ndarray:
     return np.argmax(np.abs(r[: r.shape[0] // 2 + 1]), axis=0)
 
 
-_JX_LOCK = threading.Lock()  # lru_cache alone lets two threads miss on the same j
+_JX_LOCK = threading.Lock()  # lru_cache alone lets two threads miss on the same (j, flip)
+
+
+def _flip(parity: int, n: int) -> int:
+    """Sign of v(-m) = flip v(m) in a parity sector of spin j, n = 2j + 1.
+
+    The parity e^(i pi (Jx + j)) is the flip m -> -m for integer j (odd
+    n) and minus it for half-integer j.
+    """
+    return parity if n % 2 else -parity
+
+
+def _half_dim(parity: int, n: int) -> int:
+    """Dimension of a parity sector: the rows of its flip half, m = 0..j
+    for the symmetric half of integer j, m > 0 otherwise."""
+    return n - n // 2 if _flip(parity, n) > 0 else n // 2
+
+
+def _flip_columns(flip: float, n: int) -> slice:
+    """J_x ladder positions k = -j..j of one flip kind: the symmetric
+    eigenvectors sit at k = j, j-2, ..., the antisymmetric ones between."""
+    return slice((n - 1) % 2 if flip > 0 else n % 2, None, 2)
 
 
 def _mirror(half: np.ndarray, flip: float, n: int) -> np.ndarray:
@@ -165,52 +256,51 @@ def _mirror(half: np.ndarray, flip: float, n: int) -> np.ndarray:
     return full
 
 
-@functools.lru_cache(maxsize=4)
-def _jx_halves(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ladder k = -j..j and the flip-symmetric and -antisymmetric J_x halves.
+@functools.lru_cache(maxsize=8)
+def _jx_half(j: float, flip: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ladder values k and eigenvectors u of the flip-symmetric (flip = 1)
+    or flip-antisymmetric (flip = -1) half of J_x, both read-only.
 
-    The only eigensolve of J_x; callers hold ``_JX_LOCK``.
+    The only eigensolves of J_x, memoized per (j, flip); callers hold
+    ``_JX_LOCK``.
     """
     basis = SpinBasis(j)
     n = basis.dim
     _, e = jx_tridiagonal(basis)
     c = n // 2
-    vals, halves = np.empty(n), []
-    # flip-symmetric columns sit at k = j, j-2, ...; antisymmetric ones between
-    for flip, cols in ((1.0, slice((n - 1) % 2, None, 2)), (-1.0, slice(n % 2, None, 2))):
-        mid = int(n % 2 == 1 and flip > 0)  # integer j: only symmetric vectors have an m = 0 entry
-        off = e[n - c - mid :].copy()
-        if mid:
-            off[0] *= np.sqrt(2.0)  # <0| J_x (|1> + |-1>)/sqrt2
-        half = np.diag(off, 1) + np.diag(off, -1)
-        if n % 2 == 0:
-            half[0, 0] = flip * e[c - 1]  # the coupling across the middle of the ladder
-        try:
-            w, u = np.linalg.eigh(half)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is pathological
-            raise DiagonalizationError(
-                f"J_x eigensolver failed for a half of dim={off.size + 1} at dim={n}: {exc}"
-            ) from exc
-        vals[cols] = w
-        u.setflags(write=False)
-        halves.append(u)
-    k = basis.m_values  # same ladder as m, ascending
-    defect = np.max(np.abs(vals - k))
+    mid = int(n % 2 == 1 and flip > 0)  # integer j: only symmetric vectors have an m = 0 entry
+    off = e[n - c - mid :].copy()
+    if mid:
+        off[0] *= np.sqrt(2.0)  # <0| J_x (|1> + |-1>)/sqrt2
+    half = np.diag(off, 1) + np.diag(off, -1)
+    if n % 2 == 0:
+        half[0, 0] = flip * e[c - 1]  # the coupling across the middle of the ladder
+    try:
+        w, u = np.linalg.eigh(half)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is pathological
+        raise DiagonalizationError(
+            f"J_x eigensolver failed for a half of dim={off.size + 1} at dim={n}: {exc}"
+        ) from exc
+    k = basis.m_values[_flip_columns(flip, n)]  # same ladder as m, ascending
+    defect = np.max(np.abs(w - k))
     if defect > 1e-8 * max(1.0, basis.j):
         raise DiagonalizationError(f"J_x spectrum defect {defect:.3e} at dim={basis.dim}")
     k.setflags(write=False)
-    return k, halves[0], halves[1]
+    u.setflags(write=False)
+    return k, u
 
 
 @functools.lru_cache(maxsize=4)
 def _jx_dense(j: float) -> tuple[np.ndarray, np.ndarray]:
     """The N x N J_x eigenvectors mirrored from the halves; callers hold ``_JX_LOCK``."""
-    k, sym, anti = _jx_halves(j)
-    n = k.size
+    basis = SpinBasis(j)
+    n = basis.dim
     vecs = np.empty((n, n))
-    vecs[:, (n - 1) % 2 :: 2] = _mirror(sym, 1.0, n)
-    vecs[:, n % 2 :: 2] = _mirror(anti, -1.0, n)
+    for flip in (1.0, -1.0):
+        vecs[:, _flip_columns(flip, n)] = _mirror(_jx_half(j, flip)[1], flip, n)
     vecs.setflags(write=False)
+    k = basis.m_values
+    k.setflags(write=False)
     return k, vecs
 
 
@@ -226,9 +316,9 @@ def jx_eigenbasis(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
     a factor sqrt2, and an antisymmetric half of size j; for
     half-integer j two halves of size j+1/2 that differ only in the
     diagonal entry +-e across the middle of the ladder.  Each half is
-    one dense ``np.linalg.eigh``, memoized with the halves that
-    ``diagonalize`` reads; the N x N matrix is mirrored from them by the
-    helper ``diagonalize`` uses for its eigenvectors.  The exact
+    one dense ``np.linalg.eigh``, memoized per (j, flip) where
+    ``diagonalize`` reads it; the N x N matrix is mirrored from them by
+    the helper that derives ``FloquetEigensystem.real_vectors``.  The exact
     spectrum is the integer (or half-integer) ladder -j..j, so the
     computed eigenvalues are snapped onto it after a sanity check.
     Memoized for the last few j; the returned arrays are read-only.
@@ -370,57 +460,46 @@ def _sector_eigensystem(
     return nu, o, len(clusters), worst
 
 
-def diagonalize(params: KickedTopParams, gap_tol: float = 1e-10) -> FloquetEigensystem:
-    """Full parity-resolved eigensystem of F, one real symmetric eigensolve per sector.
+def diagonalize(params: KickedTopParams, gap_tol: float = 1e-10, sectors=SECTORS) -> FloquetEigensystem:
+    """Parity sectors of F, one real symmetric eigensolve per sector asked for.
 
-    The kick is split symmetrically, F' = K^(1/2) D(alpha) K^(1/2) with
-    K = exp(-i kappa Jz^2 / 2j), so F = K^(1/2) F' K^(-1/2).  For integer
-    j the parity sectors are the flip halves m -> -m: the even sector has
-    the basis {|0>, (|m> + |-m>)/sqrt2} and the odd one {(|m> - |-m>)/sqrt2},
-    m = 1..j, and K^(1/2) is diagonal in both.  Each parity block of F'
-    is complex symmetric in that real basis (the generalized time
-    reversal of the kicked top), so its eigenvectors o are real: they
-    come from eigh(A + cB), phases are read as nu = atan2(o^T B o, o^T A o),
-    and the eigenvectors of F are v = K^(1/2) R with R the mirrored o,
-    whose columns are exactly flip-symmetric (even) or -antisymmetric
-    (odd).  Only the real R is kept, each column signed so its pivot
-    entry (see ``FloquetEigensystem.eigenvectors``) is positive, together
-    with the row phases diag K^(1/2).  Quasienergy clusters with internal
-    gaps below ``gap_tol`` get a deterministic gauge from the compressed
-    Jz^2 and are counted in ``degenerate_clusters``.  Every block is
+    ``sectors`` names the sectors to solve, 'even' and/or 'odd'; each
+    needs only its own half of J_x, so one sector costs about half of
+    both.  The kick is split symmetrically, F' = K^(1/2) D(alpha) K^(1/2)
+    with K = exp(-i kappa Jz^2 / 2j), so F = K^(1/2) F' K^(-1/2).  For
+    integer j the parity sectors are the flip halves m -> -m: the even
+    sector has the basis {|0>, (|m> + |-m>)/sqrt2} and the odd one
+    {(|m> - |-m>)/sqrt2}, m = 1..j, and K^(1/2) is diagonal in both.
+    Each parity block of F' is complex symmetric in that real basis (the
+    generalized time reversal of the kicked top), so its eigenvectors o
+    are real: they come from eigh(A + cB), phases are read as
+    nu = atan2(o^T B o, o^T A o), and the eigenvectors of F are
+    v = K^(1/2) r with r the mirrored o.  Each sector is kept as solved,
+    its nu ascending and its real half block O (``SectorEigensystem``),
+    together with the row phases diag K^(1/2); nothing is mirrored,
+    merged or re-signed.  Quasienergy clusters with internal gaps below
+    ``gap_tol`` get a deterministic gauge from the compressed Jz^2 and
+    are counted in the sector's ``degenerate_clusters``.  Every block is
     checked for |M o - e^(i nu) o| before returning; a failure raises
-    DiagonalizationError, and the larger of the two blocks' residuals is
-    kept as ``max_residual``.
+    DiagonalizationError, and the block's largest residual is kept as
+    its ``max_residual``.
     """
-    j, n = params.j, params.basis.dim
-    with _JX_LOCK:
-        k, u_even, u_odd = _jx_halves(float(j))
+    if not sectors or not set(sectors) <= set(SECTORS):
+        raise ValueError(f"sectors must name 'even' and/or 'odd', got {sectors!r}")
+    j = params.j
     h = params.half_kick
     h_half, m2 = h[j:], np.arange(j + 1.0) ** 2  # on the rows m = 0..j
-
-    nus, vec_blocks, pars, n_clusters, worst = [], [], [], 0, 0.0
-    for par, u, ks, first in ((EVEN, u_even, k[0::2], 0), (ODD, u_odd, k[1::2], 1)):
-        nu, o, clusters, residual = _sector_eigensystem(u, ks, h_half[first:], m2[first:], gap_tol, params)
-        nus.append(nu)
-        vec_blocks.append(_mirror(o, par, n))
-        pars.append(np.full(nu.size, par, dtype=np.int8))
-        n_clusters += clusters
-        worst = max(worst, residual)
-
-    nu = np.concatenate(nus)
-    parities = np.concatenate(pars)
-    order = np.lexsort((parities == ODD, nu))  # ascending nu, even first on ties
-    real = np.concatenate(vec_blocks, axis=1)[:, order]
-    real *= np.sign(real[_pivot_rows(real), np.arange(n)])
-    return FloquetEigensystem(
-        quasienergies=nu[order],
-        real_vectors=real,
-        row_phases=h,
-        parities=parities[order],
-        params=params,
-        degenerate_clusters=n_clusters,
-        max_residual=worst,
-    )
+    blocks = []
+    for name in SECTORS:
+        if name not in sectors:
+            continue
+        parity = _PARITY[name]
+        with _JX_LOCK:
+            k, u = _jx_half(float(j), float(parity))  # integer j: the parity is the flip
+        first = int(parity == ODD)  # the odd half starts at m = 1
+        nu, o, clusters, residual = _sector_eigensystem(u, k, h_half[first:], m2[first:], gap_tol, params)
+        blocks.append(SectorEigensystem(parity, nu, o, clusters, residual))
+    return FloquetEigensystem(sectors=tuple(blocks), row_phases=h, params=params)
 
 
 def evolve_state(op: FloquetOperator, psi0: np.ndarray, n_kicks: int) -> np.ndarray:

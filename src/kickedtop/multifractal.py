@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import GridSpec, haar_sphere, rng_for_task
-from .floquet import FloquetEigensystem
+from .floquet import FloquetEigensystem, _flip
 from .spin import CoherentState, SpinBasis, coherent_band
 
 __all__ = [
@@ -118,14 +118,65 @@ def expand_states(amplitudes: np.ndarray, eig: FloquetEigensystem) -> np.ndarray
     return np.abs(eig.eigenvectors.conj().T @ amplitudes).T ** 2
 
 
+def _fold(band: np.ndarray, lo: int, hi: int, n: int, work: np.ndarray):
+    """The band moved onto the rows m >= 0 of the flip halves: (fold, anti, r0).
+
+    ``band`` holds the Dicke rows [lo, hi) of y, its rows m != 0 already
+    scaled by 1/sqrt2.  Rows are counted from the middle Dicke row n // 2.
+    A window on one side of m = 0 needs no sums: ``fold`` is the band
+    itself, or the band reversed onto the rows -m when it lies below
+    m = 0, from row r0, and serves both halves (a reversed band flips the
+    sign of every antisymmetric term at once, which no weight sees);
+    ``anti`` is None.  A window across m = 0 gives ``fold``, y(m) + y(-m)
+    on the rows m > 0 and y(0) on an m = 0 row, and ``anti``,
+    y(m) - y(-m) on the rows m > 0 (up to one sign for all of them),
+    from the middle row (r0 = 0), in the flat complex array ``work`` of
+    at least n * band.shape[1] entries.
+    """
+    c = n // 2
+    top = n - c  # Dicke row of the smallest m > 0
+    if lo >= c:
+        return band, None, lo - c
+    if hi <= top:
+        rev = work[: band.size].reshape(band.shape)
+        np.copyto(rev, band[::-1])
+        return rev, None, n - hi - c
+    up, low = band[top - lo :], band[: c - lo][::-1]  # rows m > 0 and -m < 0, from |m| up
+    ov, rows = min(len(up), len(low)), max(len(up), len(low))
+    mid = top - c  # 1 when Dicke row c is m = 0
+    cols = band.shape[1]
+    fold = work[: (mid + rows) * cols].reshape(mid + rows, cols)
+    anti = work[(mid + rows) * cols : (mid + 2 * rows) * cols].reshape(rows, cols)
+    fold[:mid] = band[c - lo : top - lo]
+    np.add(up[:ov], low[:ov], out=fold[mid : mid + ov])
+    np.subtract(up[:ov], low[:ov], out=anti[:ov])
+    if len(up) > ov:
+        fold[mid + ov :] = anti[ov:] = up[ov:]
+    else:
+        fold[mid + ov :] = low[ov:]
+        np.negative(low[ov:], out=anti[ov:])
+    return fold, anti, 0
+
+
 def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
     """Yield (indices, weights) for blocks of ``BLOCK_STATES`` theta-sorted
-    coherent states; ``weights[r]`` belongs to input state ``indices[r]``.
+    coherent states; ``weights[r]`` belongs to input state ``indices[r]``,
+    its columns the sectors' eigenvectors side by side, each sector in
+    its stored order.  ``weights`` is a work array that the next block
+    overwrites.
 
-    Each block multiplies only the Dicke-row window its states occupy.
-    Since v_i = diag(h) r_i c_i with r_i real, |<v_i|psi>| = |r_i^T (h* psi)|:
-    the band is built with the row phases h* folded in, and its real and
-    imaginary parts go through one real product with R.
+    Since v_i = diag(h) r_i c_i with r_i real, |<v_i|psi>| = |r_i^T y|
+    with y = h* psi, and r_i is the mirror of its sector's half vector
+    o_i, so r_i^T y = o_i^T fold(y) with
+    fold(y)(m) = (y(m) +- y(-m))/sqrt2 on the rows m > 0 and y(0) on
+    m = 0.  The band is built with the row phases h* and the 1/sqrt2
+    folded in, over the Dicke-row window its states occupy.  The
+    sectors' half vectors are laid side by side on the rows m >= 0,
+    once per call (half the size of the N x N mirror).  A block whose
+    window lies on one side of m = 0 is one real product (dgemm) of the
+    band's real and imaginary parts with the rows it reaches; a block
+    across m = 0 is folded (``_fold``: one sum and one difference per
+    row) onto fewer rows than it spans, one dgemm per sector.
     """
     if basis.dim != eig.dim:
         raise ValueError(f"dimension mismatch: states dim {basis.dim}, eigenbasis dim {eig.dim}")
@@ -134,26 +185,52 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
     if thetas.ndim != 1 or thetas.shape != phis.shape:
         raise ValueError(f"thetas and phis must be 1-D of one length, got {thetas.shape}, {phis.shape}")
     order = np.argsort(thetas, kind="stable")
-    row_phase = eig.row_phases.conj()
+    n = eig.dim
+    mid = n % 2  # 1 when the middle Dicke row is m = 0, which only the symmetric half holds
+    row_factor = eig.row_phases.conj() * np.sqrt(0.5)
+    if mid:
+        row_factor[n // 2] = eig.row_phases[n // 2].conj()  # m = 0 is its own mirror
+    halves = np.zeros((n - n // 2, sum(s.quasienergies.size for s in eig.sectors)))
+    placed, col = [], 0  # (symmetric?, columns) per sector
+    for s in eig.sectors:
+        sym, size = _flip(s.parity, n) > 0, s.quasienergies.size
+        first = 0 if sym else mid
+        halves[first : first + size, col : col + size] = s.vectors
+        placed.append((sym, slice(col, col + size)))
+        col += size
+    weights = np.empty((BLOCK_STATES, col))
+    product = np.empty((2 * BLOCK_STATES, col))
+    work = np.empty(n * BLOCK_STATES, dtype=complex)
     for start in range(0, order.size, BLOCK_STATES):
         idx = order[start : start + BLOCK_STATES]
-        band, lo, hi = coherent_band(basis, thetas[idx], phis[idx], row_phase)
+        band, lo, hi = coherent_band(basis, thetas[idx], phis[idx], row_factor)
+        fold, anti, r0 = _fold(band, lo, hi, n, work)
         # rows 2k and 2k+1 of the product are the real and imaginary parts for state k
-        p = band.view(float).T @ eig.real_vectors[lo:hi]
+        p = product[: 2 * idx.size]
+        if anti is None:
+            np.matmul(fold.view(float).T, halves[r0 : r0 + len(fold)], out=p)
+        else:
+            for sym, cols in placed:
+                f, first = (fold, 0) if sym else (anti, mid)
+                np.matmul(f.view(float).T, halves[first : first + len(f), cols], out=p[:, cols])
         p *= p
-        yield idx, p[0::2] + p[1::2]
+        w = weights[: idx.size]
+        np.add(p[0::2], p[1::2], out=w)
+        yield idx, w
 
 
 def coherent_weights(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis) -> np.ndarray:
     """Weights |<nu_i|theta_k, phi_k>|^2 of many coherent states.
 
-    Shape (n_states, N), rows in input order; agrees with
+    Shape (n_states, N), rows in input order, columns in the order of
+    ``eig.quasienergies``; agrees with
     ``expand_states(coherent_state_matrix(basis, thetas, phis), eig)`` to
     rounding.
     """
-    out = np.empty((np.size(thetas), eig.dim))
+    order = eig.order
+    out = np.empty((np.size(thetas), order.size))
     for idx, w in _weight_blocks(basis, eig, thetas, phis):
-        out[idx] = w
+        out[idx] = w[:, order]
     return out
 
 

@@ -137,8 +137,8 @@ def coherent_band(basis: SpinBasis, thetas, phis, row_phase=None) -> tuple[np.nd
     [lo, hi) is zero in every column.  A state is non-negligible only
     within O(sqrt j) rows of m = j cos(theta), so states of similar
     theta share a narrow window; only the rows of :func:`_row_window`
-    are evaluated.  With ``row_phase`` (one unit complex per Dicke row)
-    row i of every column is multiplied by row_phase[i].
+    are evaluated.  With ``row_phase`` (one complex factor per Dicke
+    row) row i of every column is multiplied by row_phase[i].
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)

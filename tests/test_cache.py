@@ -16,6 +16,7 @@ from kickedtop.cache import (
 from kickedtop.floquet import KickedTopParams, diagonalize
 
 PARAMS = KickedTopParams(alpha=4 * np.pi / 7, kappa=3.0, j=12)
+SECTORS = ("even", "odd")
 
 
 def fresh_eigensystem():
@@ -28,44 +29,76 @@ def buffer_of(a):
     return a
 
 
+def assert_sector_file(path, sector):
+    """``path`` holds a valid format-4 file of this sector of PARAMS."""
+    loaded = load_eigensystem(path)
+    assert loaded.params == PARAMS
+    assert [b.parity for b in loaded.sectors] == [1 if sector == "even" else -1]
+    assert int.from_bytes(path.read_bytes()[8:12], "little") == cache.VERSION == 4
+
+
 def test_round_trip(tmp_path):
     eig = fresh_eigensystem()
     assert 0.0 < eig.max_residual <= 1e-9
-    path = cache_path(tmp_path, PARAMS)
-    save_eigensystem(path, eig)
-    n = eig.dim
-    assert path.stat().st_size == cache.HEADER.size + 8 * n * n + 9 * n + 4
-    assert cache.HEADER.size == 56  # the format-2 header plus the f8 residual
-    loaded = load_eigensystem(path)
-    assert loaded.params == PARAMS
-    assert loaded.real_vectors.dtype == np.float64
-    assert np.array_equal(loaded.real_vectors, eig.real_vectors)
-    assert np.array_equal(loaded.row_phases, eig.row_phases)
-    assert np.array_equal(loaded.quasienergies, eig.quasienergies)
-    assert np.array_equal(loaded.parities, eig.parities)
-    assert loaded.degenerate_clusters == eig.degenerate_clusters
-    assert loaded.max_residual == eig.max_residual
-    assert np.array_equal(loaded.eigenvectors, eig.eigenvectors)
-    # R is used in place: a view of the one buffer the file was read into
-    buf = buffer_of(loaded.real_vectors)
-    assert buf.dtype == np.uint8 and buf.size == path.stat().st_size
-    assert buffer_of(loaded.quasienergies) is buf
+    assert cache.HEADER.size == 56  # the format-3 header with the parity in its padding
+    for sector, n in zip(SECTORS, (13, 12)):
+        path = cache_path(tmp_path, PARAMS, sector)
+        save_eigensystem(path, eig, sector)
+        assert path.stat().st_size == cache.HEADER.size + 8 * n * n + 8 * n + 4
+        loaded = load_eigensystem(path)
+        assert loaded.params == PARAMS
+        assert np.array_equal(loaded.row_phases, eig.row_phases)
+        (got,), want = loaded.sectors, eig.block(sector)
+        assert got.parity == want.parity
+        assert got.vectors.dtype == np.float64 and got.vectors.shape == (n, n)
+        assert np.array_equal(got.vectors, want.vectors)
+        assert np.array_equal(got.quasienergies, want.quasienergies)
+        assert got.degenerate_clusters == want.degenerate_clusters
+        assert got.max_residual == want.max_residual
+        assert np.array_equal(loaded.sector(sector), eig.sector(sector))
+        # O and nu are used in place: views of the one buffer the file was read into
+        buf = buffer_of(got.vectors)
+        assert buf.dtype == np.uint8 and buf.size == path.stat().st_size
+        assert buffer_of(got.quasienergies) is buf
+    both = cached_eigensystem(PARAMS, tmp_path)
+    assert np.array_equal(both.eigenvectors, eig.eigenvectors)
+    assert np.array_equal(both.quasienergies, eig.quasienergies)
+    assert np.array_equal(both.parities, eig.parities)
+    assert both.max_residual == eig.max_residual
 
 
 def test_cached_eigensystem_hits_cache(tmp_path):
     first = cached_eigensystem(PARAMS, tmp_path)
-    path = cache_path(tmp_path, PARAMS)
-    assert path.exists()
-    mtime = path.stat().st_mtime_ns
+    paths = [cache_path(tmp_path, PARAMS, s) for s in SECTORS]
+    assert all(p.exists() for p in paths)
+    mtimes = [p.stat().st_mtime_ns for p in paths]
     second = cached_eigensystem(PARAMS, tmp_path)
-    assert path.stat().st_mtime_ns == mtime  # not rewritten
+    assert [p.stat().st_mtime_ns for p in paths] == mtimes  # not rewritten
     assert np.array_equal(first.quasienergies, second.quasienergies)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
 
+def test_one_sector_written_and_read_alone(tmp_path, monkeypatch):
+    odd = cached_eigensystem(PARAMS, tmp_path, ("odd",))
+    assert [b.parity for b in odd.sectors] == [-1]
+    assert [p.name for p in tmp_path.iterdir()] == [cache_path(tmp_path, PARAMS, "odd").name]
+    solved = []
+
+    def spy(params, sectors):
+        solved.append(sectors)
+        return diagonalize(params, sectors=sectors)
+
+    monkeypatch.setattr(cache, "diagonalize", spy)
+    both = cached_eigensystem(PARAMS, tmp_path)
+    assert solved == [["even"]]  # the odd sector came from its file
+    assert [b.parity for b in both.sectors] == [1, -1]
+    assert np.array_equal(both.quasienergies, fresh_eigensystem().quasienergies)
+
+
 def test_distinct_params_distinct_files(tmp_path):
     other = KickedTopParams(alpha=4 * np.pi / 7, kappa=3.5, j=12)
-    assert cache_path(tmp_path, PARAMS) != cache_path(tmp_path, other)
+    assert cache_path(tmp_path, PARAMS, "even") != cache_path(tmp_path, other, "even")
+    assert cache_path(tmp_path, PARAMS, "even") != cache_path(tmp_path, PARAMS, "odd")
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -76,9 +109,8 @@ def test_bad_magic_rejected(tmp_path):
 
 
 def test_version_mismatch_rejected(tmp_path):
-    eig = fresh_eigensystem()
-    path = cache_path(tmp_path, PARAMS)
-    save_eigensystem(path, eig)
+    path = cache_path(tmp_path, PARAMS, "even")
+    save_eigensystem(path, fresh_eigensystem(), "even")
     blob = bytearray(path.read_bytes())
     blob[8:12] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
@@ -88,47 +120,77 @@ def test_version_mismatch_rejected(tmp_path):
 
 def test_truncated_file_rejected(tmp_path):
     eig = fresh_eigensystem()
-    path = cache_path(tmp_path, PARAMS)
-    save_eigensystem(path, eig)
-    path.write_bytes(path.read_bytes()[:-100])
-    with pytest.raises(CacheFormatError):
-        load_eigensystem(path)
+    for sector in SECTORS:
+        path = cache_path(tmp_path, PARAMS, sector)
+        save_eigensystem(path, eig, sector)
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(CacheFormatError, match="truncated"):
+            load_eigensystem(path)
+    again = cached_eigensystem(PARAMS, tmp_path)
+    assert np.array_equal(again.quasienergies, eig.quasienergies)
+    for sector in SECTORS:
+        assert_sector_file(cache_path(tmp_path, PARAMS, sector), sector)  # overwritten
 
 
 def test_corrupt_cache_recomputed(tmp_path):
-    path = cache_path(tmp_path, PARAMS)
+    path = cache_path(tmp_path, PARAMS, "even")
     path.write_bytes(b"garbage")
     eig = cached_eigensystem(PARAMS, tmp_path)
     assert eig.dim == 25
-    assert load_eigensystem(path).params == PARAMS  # overwritten with good data
+    assert_sector_file(path, "even")  # overwritten with good data
 
 
 def test_no_cache_dir_works():
     eig = cached_eigensystem(PARAMS, None)
     assert eig.dim == 25
+    assert cached_eigensystem(PARAMS, None, ("odd",)).sector("odd").size == 12
 
 
 def test_degenerate_clusters_round_trip(tmp_path):
     params = KickedTopParams(alpha=4 * np.pi / 7, kappa=0.0, j=30)
     eig = diagonalize(params)
     assert eig.degenerate_clusters > 0
-    path = cache_path(tmp_path, params)
-    save_eigensystem(path, eig)
-    loaded = load_eigensystem(path)
-    assert loaded.degenerate_clusters == eig.degenerate_clusters
-    assert loaded.max_residual == eig.max_residual
+    for sector in SECTORS:
+        path = cache_path(tmp_path, params, sector)
+        save_eigensystem(path, eig, sector)
+        loaded = load_eigensystem(path)
+        assert loaded.degenerate_clusters == eig.block(sector).degenerate_clusters
+        assert loaded.max_residual == eig.block(sector).max_residual
+    both = cached_eigensystem(params, tmp_path)
+    assert both.degenerate_clusters == eig.degenerate_clusters
+    assert both.max_residual == eig.max_residual
 
 
 def test_flipped_eigenvector_byte_detected(tmp_path):
-    path = cache_path(tmp_path, PARAMS)
-    save_eigensystem(path, fresh_eigensystem())
-    blob = bytearray(path.read_bytes())
-    blob[cache.HEADER.size + 1000] ^= 0x01
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CacheFormatError, match="checksum"):
-        load_eigensystem(path)
-    eig = cached_eigensystem(PARAMS, tmp_path)
-    assert np.array_equal(load_eigensystem(path).eigenvectors, eig.eigenvectors)
+    # a flipped byte in O, in the header (kappa) or in the CRC itself
+    reference = fresh_eigensystem()
+    for sector in SECTORS:
+        path = cache_path(tmp_path, PARAMS, sector)
+        for offset in (cache.HEADER.size + 100, 28, -2):
+            save_eigensystem(path, reference, sector)
+            blob = bytearray(path.read_bytes())
+            blob[offset] ^= 0x01
+            path.write_bytes(bytes(blob))
+            with pytest.raises(CacheFormatError, match="checksum"):
+                load_eigensystem(path)
+            eig = cached_eigensystem(PARAMS, tmp_path)
+            assert np.array_equal(eig.eigenvectors, reference.eigenvectors)
+            assert_sector_file(path, sector)  # overwritten
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+def test_header_of_other_sector_or_params_is_a_miss(tmp_path, sector):
+    eig = fresh_eigensystem()
+    other = "odd" if sector == "even" else "even"
+    other_params = KickedTopParams(alpha=PARAMS.alpha, kappa=3.5, j=12)
+    path = cache_path(tmp_path, PARAMS, sector)
+    for params, stored in ((PARAMS, other), (other_params, sector)):
+        save_eigensystem(path, diagonalize(params), stored)
+        load_eigensystem(path)  # a valid file, of the wrong sector or params
+        got = cached_eigensystem(PARAMS, tmp_path, (sector,))
+        assert np.array_equal(got.sector(sector), eig.sector(sector))
+        assert np.array_equal(got.block(sector).vectors, eig.block(sector).vectors)
+        assert_sector_file(path, sector)  # overwritten
 
 
 def write_v1(path, eig):
@@ -146,13 +208,13 @@ def write_v1(path, eig):
 
 def test_v1_file_recomputed(tmp_path):
     eig = fresh_eigensystem()
-    path = cache_path(tmp_path, PARAMS)
+    path = cache_path(tmp_path, PARAMS, "even")
     write_v1(path, eig)
     with pytest.raises(CacheFormatError, match="version 1"):
         load_eigensystem(path)
     again = cached_eigensystem(PARAMS, tmp_path)
     assert np.array_equal(again.quasienergies, eig.quasienergies)
-    assert int.from_bytes(path.read_bytes()[8:12], "little") == cache.VERSION
+    assert_sector_file(path, "even")
 
 
 def write_v2(path, eig):
@@ -167,18 +229,45 @@ def write_v2(path, eig):
     path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
 
 
-def test_v2_file_recomputed_as_v3(tmp_path):
+def test_v2_file_recomputed_as_v4(tmp_path):
     eig = fresh_eigensystem()
-    path = cache_path(tmp_path, PARAMS)
+    path = cache_path(tmp_path, PARAMS, "odd")
     write_v2(path, eig)
     with pytest.raises(CacheFormatError, match="version 2"):
         load_eigensystem(path)
     again = cached_eigensystem(PARAMS, tmp_path)
-    assert np.array_equal(again.real_vectors, eig.real_vectors)
-    assert int.from_bytes(path.read_bytes()[8:12], "little") == cache.VERSION == 3
-    assert np.array_equal(load_eigensystem(path).real_vectors, eig.real_vectors)
+    assert np.array_equal(again.block("odd").vectors, eig.block("odd").vectors)
+    assert_sector_file(path, "odd")
+    assert np.array_equal(load_eigensystem(path).block("odd").vectors, eig.block("odd").vectors)
+
+
+def write_v3(path, eig):
+    """Format-3 layout: 56-byte header, mirrored real N x N R, phases, parities, CRC-32."""
+    p = eig.params
+    blob = b"".join([
+        struct.pack("<8sII3dIId", cache.MAGIC, 3, eig.dim, p.j, p.kappa, p.alpha, eig.degenerate_clusters, 0,
+                    eig.max_residual),
+        eig.real_vectors.astype("<f8").tobytes(),
+        eig.quasienergies.astype("<f8").tobytes(),
+        eig.parities.astype("<i1").tobytes(),
+    ])
+    path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+def test_v3_file_is_a_miss(tmp_path, sector):
+    eig = fresh_eigensystem()
+    path = cache_path(tmp_path, PARAMS, sector)
+    write_v3(path, eig)
+    with pytest.raises(CacheFormatError, match="version 3"):
+        load_eigensystem(path)
+    again = cached_eigensystem(PARAMS, tmp_path, (sector,))
+    assert np.array_equal(again.sector(sector), eig.sector(sector))
+    assert_sector_file(path, sector)
 
 
 def test_save_leaves_no_temporary_files(tmp_path):
-    save_eigensystem(cache_path(tmp_path, PARAMS), fresh_eigensystem())
-    assert [f.name for f in tmp_path.iterdir()] == [cache_path(tmp_path, PARAMS).name]
+    cached_eigensystem(PARAMS, tmp_path)
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        cache_path(tmp_path, PARAMS, s).name for s in SECTORS
+    )

@@ -216,7 +216,7 @@ def no_eigensystem(monkeypatch):
     """Fail any attempt to build or load an eigensystem."""
     from kickedtop import cli
 
-    def refuse(params, cache_dir=None):
+    def refuse(params, cache_dir=None, sectors=None):
         raise AssertionError("an eigensystem was requested")
 
     monkeypatch.setattr(cli, "cached_eigensystem", refuse)
@@ -326,13 +326,54 @@ def test_usage_error_classical_non_finite_kappa(tmp_path, args):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("portrait", "--kappa", "3.1415926,3.1415927", "--orbits", "2", "--kicks", "3"),
+        ("lyapunov", "--kappa", "3.1415926,3.1415927", "--grid", "2", "--kicks", "3"),
+        ("spectrum", "--j", "4", "--kappa", "3,3.0000001"),
+        ("multifractal", "--j", "4", "--kappa", "1,1.0000001", "--grid", "2"),
+        ("coeffdist", "--j-list", "4,5", "--kappa", "1,1.0000001", "--samples", "4"),
+    ],
+)
+def test_usage_error_two_points_one_file_name(tmp_path, capsys, no_eigensystem, args):
+    # kappa names its file with 6 significant digits; two points must not write one file
+    assert run(*args, "--out", tmp_path, "--threads", "1") == 1
+    assert "share the output name" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_spectrum_fill_serves_dq_recipes(tmp_path, monkeypatch):
+    from kickedtop import floquet
+
+    solved = []
+    solve = floquet._sector_eigensystem
+
+    def spy(u, k, h, m2, gap_tol, params):
+        solved.append((params.j, "even" if k.size == params.j + 1 else "odd"))
+        return solve(u, k, h, m2, gap_tol, params)
+
+    monkeypatch.setattr(floquet, "_sector_eigensystem", spy)
+    out = tmp_path / "filled"
+    assert run("spectrum", "--j", "30", "--kappa", "7", "--out", out) == 0
+    assert solved == [(30, "even")]
+    assert [f.name.rsplit("_", 1)[1] for f in (out / "cache").iterdir()] == ["even.ktc"]
+    solved.clear()
+    scaling = ("multifractal", "--mode", "scaling", "--kappa", "7", "--j-list", "30,40", "--samples", "200")
+    assert run(*scaling, "--out", out) == 0
+    assert sorted(solved) == [(30, "odd"), (40, "even"), (40, "odd")]
+    assert run(*scaling, "--out", tmp_path / "nocache", "--no-cache") == 0
+    for name in ("scaling_points.csv", "scaling_fits.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "nocache" / name).read_bytes()
+
+
 def test_failed_task_cancels_queued_tasks(monkeypatch, tmp_path):
     from kickedtop import cli
     from kickedtop.floquet import DiagonalizationError
 
     calls = []
 
-    def fail(params, cache_dir=None):
+    def fail(params, cache_dir=None, sectors=None):
         calls.append(params.kappa)
         if len(calls) > 1:
             time.sleep(0.2)  # long enough for the driver to cancel what is still queued
@@ -429,7 +470,7 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path):
     from kickedtop import cli
     from kickedtop.floquet import DiagonalizationError
 
-    def boom(params, cache_dir=None):
+    def boom(params, cache_dir=None, sectors=None):
         raise DiagonalizationError("synthetic eigensolver failure")
 
     monkeypatch.setattr(cli, "cached_eigensystem", boom)

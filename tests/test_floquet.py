@@ -270,12 +270,19 @@ def test_eigenvector_phase_convention():
 
 
 def test_eigensystem_stores_only_real_matrices():
-    # v = diag(h) R diag(c): R real and sign-fixed at the pivot, h = diag K^(1/2)
+    # v = diag(h) R diag(c): R real and sign-fixed at the pivot, h = diag K^(1/2);
+    # each sector stores one real matrix, its half vectors, and R is derived from them
     params = KickedTopParams(alpha=ALPHA, kappa=7.0, j=40)
     eig = diagonalize(params)
-    matrices = [getattr(eig, f.name) for f in dataclasses.fields(eig)]
-    matrices = [a for a in matrices if isinstance(a, np.ndarray) and a.ndim == 2]
-    assert len(matrices) == 1 and matrices[0].dtype == np.float64
+
+    def matrices(obj):
+        fields = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+        return [a for a in fields if isinstance(a, np.ndarray) and a.ndim == 2]
+
+    assert matrices(eig) == []
+    for sector, n in zip(eig.sectors, (41, 40)):
+        stored = matrices(sector)
+        assert len(stored) == 1 and stored[0].dtype == np.float64 and stored[0].shape == (n, n)
     r = eig.real_vectors
     assert np.all(r[np.argmax(np.abs(r[:41]), axis=0), np.arange(81)] > 0)
     assert np.array_equal(eig.row_phases, params.half_kick)
@@ -335,7 +342,7 @@ def test_clusters_match_split_oracle():
 
 
 def test_jx_eigenbasis_computed_once_across_threads():
-    floquet._jx_halves.cache_clear()
+    floquet._jx_half.cache_clear()
     floquet._jx_dense.cache_clear()
     n_threads = 4  # more than the cores of a small CI runner
     barrier = threading.Barrier(n_threads)
@@ -347,21 +354,51 @@ def test_jx_eigenbasis_computed_once_across_threads():
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         results = list(pool.map(fetch, range(n_threads)))
     assert all(r[1] is results[0][1] for r in results)
-    assert floquet._jx_halves.cache_info().misses == 1
+    assert floquet._jx_half.cache_info().misses == 2  # one eigensolve per flip half
 
 
 def test_diagonalize_solves_jx_once_across_threads():
-    floquet._jx_halves.cache_clear()
+    # the J_x memo is per (j, flip half): one sector needs one half, solved once
+    floquet._jx_half.cache_clear()
     n_threads = 4
-    barrier = threading.Barrier(n_threads)
 
-    def solve(i):
-        barrier.wait()
-        return diagonalize(KickedTopParams(alpha=ALPHA, kappa=1.0 + i, j=250))
+    def solve_all(sectors):
+        barrier = threading.Barrier(n_threads)
 
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(solve, range(n_threads)))
-    assert floquet._jx_halves.cache_info().misses == 1
+        def solve(i):
+            barrier.wait()
+            return diagonalize(KickedTopParams(alpha=ALPHA, kappa=1.0 + i, j=250), sectors=sectors)
+
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(solve, range(n_threads)))
+
+    solve_all(("odd",))
+    assert floquet._jx_half.cache_info().misses == 1
+    solve_all(("even", "odd"))
+    assert floquet._jx_half.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("j,kappa", [(1, 7.0), (30, 0.0), (60, 3.0)])
+def test_one_sector_solve_matches_both(j, kappa):
+    params = KickedTopParams(alpha=ALPHA, kappa=kappa, j=j)
+    both = diagonalize(params)
+    for sector in ("even", "odd"):
+        floquet._jx_half.cache_clear()
+        one = diagonalize(params, sectors=(sector,))
+        assert floquet._jx_half.cache_info().currsize == 1  # only this sector's J_x half
+        assert len(one.sectors) == 1
+        (got,), want = one.sectors, both.block(sector)
+        assert np.array_equal(got.quasienergies, want.quasienergies)
+        assert np.array_equal(got.vectors, want.vectors)
+        assert got.max_residual == want.max_residual
+        assert got.degenerate_clusters == want.degenerate_clusters
+        # bit-identical to the sector of the derived, sorted full spectrum
+        assert np.array_equal(one.sector(sector), np.sort(both.quasienergies[both.parities == got.parity]))
+        with pytest.raises(ValueError, match="not solved"):
+            one.sector("odd" if sector == "even" else "even")
+    for bad in ((), ("even", "both")):
+        with pytest.raises(ValueError, match="sectors"):
+            diagonalize(params, sectors=bad)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.4, 7.0])

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickedtop.classical import GridSpec, haar_sphere, rng_for_task
-from kickedtop.floquet import FloquetEigensystem, KickedTopParams, diagonalize
+from kickedtop import floquet
+from kickedtop.floquet import FloquetEigensystem, KickedTopParams, SectorEigensystem, diagonalize
 from kickedtop.multifractal import (
     BLOCK_STATES,
     WEIGHT_CUTOFF,
@@ -34,14 +35,19 @@ def eigensystem(j, kappa, alpha=ALPHA):
 
 @functools.lru_cache(maxsize=None)
 def random_eigensystem(j):
-    """Haar-random real orthogonal R with random row phases h: eigenvectors
-    diag(h) R diag(c), dense in every row, no parity structure."""
+    """Haar-random real orthogonal half vectors per parity sector, with
+    random row phases h: eigenvectors diag(h) R diag(c), R the mirrored
+    halves, dense in every row; for integer and half-integer j."""
     dim = round(2 * j) + 1
     rng = np.random.default_rng(dim)
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
-    q *= np.sign(np.diag(r))
+    sectors = []
+    for parity in (1, -1):
+        n = floquet._half_dim(parity, dim)
+        q, r = np.linalg.qr(rng.normal(size=(n, n)))
+        q *= np.sign(np.diag(r))
+        sectors.append(SectorEigensystem(parity, np.zeros(n), q))
     h = np.exp(2j * np.pi * rng.random(dim))
-    return FloquetEigensystem(np.zeros(dim), q, h, np.ones(dim, dtype=int))
+    return FloquetEigensystem(tuple(sectors), h)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
