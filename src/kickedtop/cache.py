@@ -28,7 +28,9 @@ follow from (j, kappa) and are not stored.  The header keeps O 8-byte
 aligned, so a loaded file is used in place without copying.  Files of
 formats 1-3 (format 3 held the mirrored N x N matrix of both sectors),
 files whose header names other parameters or the other sector, and
-files with a bad checksum are misses and get recomputed.  Files are
+files with a bad checksum are misses and get recomputed.  Writing a
+sector file removes the format-3 file ``eig_<key>.ktc`` of the same
+parameters, which no reader uses any more.  Files are
 written to a temporary name in the same directory and renamed into
 place, so a reader never sees a partial file.  Files are named by the
 first 16 hex digits of the SHA-256 of the parameter triple and the
@@ -40,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-import threading
 import zlib
 from pathlib import Path
 
@@ -55,6 +56,7 @@ from .floquet import (
     _half_dim,
     diagonalize,
 )
+from .io import _atomic_write
 
 __all__ = ["cache_path", "save_eigensystem", "load_eigensystem", "cached_eigensystem"]
 
@@ -77,12 +79,15 @@ def cache_path(cache_dir, params: KickedTopParams, sector: str) -> Path:
     return Path(cache_dir) / f"eig_{cache_key(params)}_{sector}.ktc"
 
 
+def _format3_path(cache_dir, params: KickedTopParams) -> Path:
+    """Where format 3 kept both sectors of these parameters in one file."""
+    return Path(cache_dir) / f"eig_{cache_key(params)}.ktc"
+
+
 def save_eigensystem(path, eig: FloquetEigensystem, sector: str) -> None:
     """Write the sector 'even' or 'odd' of ``eig`` to ``path``, atomically."""
     if eig.params is None:
         raise ValueError("cannot cache an eigensystem without params")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     p, block = eig.params, eig.block(sector)
     parts = [
         HEADER.pack(
@@ -92,17 +97,10 @@ def save_eigensystem(path, eig: FloquetEigensystem, sector: str) -> None:
         np.ascontiguousarray(block.vectors, dtype="<f8"),
         np.ascontiguousarray(block.quasienergies, dtype="<f8"),
     ]
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    try:
-        crc = 0
-        with open(tmp, "wb") as fh:
-            for part in parts:
-                crc = zlib.crc32(part, crc)
-                fh.write(part)
-            fh.write(CRC.pack(crc))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    _atomic_write(path, [*parts, CRC.pack(crc)])
 
 
 def load_eigensystem(path) -> FloquetEigensystem:
@@ -166,5 +164,6 @@ def cached_eigensystem(params: KickedTopParams, cache_dir=None, sectors=SECTORS)
             found[sector] = eig.block(sector)
             if cache_dir is not None:
                 save_eigensystem(cache_path(cache_dir, params, sector), eig, sector)
+                _format3_path(cache_dir, params).unlink(missing_ok=True)
     blocks = tuple(found[s] for s in SECTORS if s in found)
     return FloquetEigensystem(sectors=blocks, row_phases=params.half_kick, params=params)

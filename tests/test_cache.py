@@ -271,3 +271,20 @@ def test_save_leaves_no_temporary_files(tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
         cache_path(tmp_path, PARAMS, s).name for s in SECTORS
     )
+
+
+def test_format3_file_removed_when_its_key_is_written(tmp_path):
+    """A format-3 file (both sectors in ``eig_<key>.ktc``) is never read
+    again, so writing the sector files of its key removes it; format-3
+    files of other keys stay until their own key is written."""
+    other = KickedTopParams(alpha=PARAMS.alpha, kappa=5.0, j=PARAMS.j)
+    stale = tmp_path / f"eig_{cache.cache_key(PARAMS)}.ktc"
+    kept = tmp_path / f"eig_{cache.cache_key(other)}.ktc"
+    write_v3(stale, fresh_eigensystem())
+    write_v3(kept, diagonalize(other))
+    cached_eigensystem(PARAMS, tmp_path, ("odd",))
+    assert not stale.exists()
+    assert kept.exists()
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+        [kept.name, cache_path(tmp_path, PARAMS, "odd").name]
+    )
