@@ -1,6 +1,6 @@
 """Numerical laboratory for the quantum kicked top.
 
-Builds and diagonalizes the kicked-top Floquet operator, simulates the
+Diagonalizes the kicked-top Floquet operator sector by sector, simulates the
 classical limit with Lyapunov-exponent analysis, and quantifies quantum
 chaos through quasienergy spectral statistics and the multifractal
 dimensions of SU(2) coherent states expanded in the Floquet eigenbasis.
@@ -33,14 +33,9 @@ from .coeffstats import (
 )
 from .floquet import (
     FloquetEigensystem,
-    FloquetOperator,
     KickedTopParams,
     SectorEigensystem,
-    build_floquet,
     diagonalize,
-    evolve_state,
-    parity_operator,
-    wigner_d_matrix,
 )
 from .multifractal import (
     DqField,

@@ -1,5 +1,4 @@
-"""Kicked-top Floquet operator: construction in the Dicke basis,
-diagonalization with parity resolution, and stroboscopic evolution.
+"""Kicked-top Floquet operator: its eigensystem, one parity sector at a time.
 
 One period = free precession about x by angle alpha followed by a
 torsional kick exp(-i kappa Jz^2 / 2j).  The operator conserves the
@@ -22,15 +21,10 @@ from .spin import SpinBasis, jx_tridiagonal
 
 __all__ = [
     "KickedTopParams",
-    "FloquetOperator",
     "FloquetEigensystem",
     "SectorEigensystem",
     "DiagonalizationError",
-    "wigner_d_matrix",
-    "build_floquet",
-    "parity_operator",
     "diagonalize",
-    "evolve_state",
 ]
 
 EVEN, ODD = 1, -1
@@ -78,18 +72,6 @@ class KickedTopParams:
         """Diagonal of K^(1/2) = exp(-i kappa Jz^2 / 4j), in basis order."""
         m = self.basis.m_values
         return np.exp(-0.25j * self.kappa * m**2 / self.j)
-
-
-@dataclass(frozen=True)
-class FloquetOperator:
-    """Dense one-period propagator in the Dicke basis."""
-
-    matrix: np.ndarray = field(repr=False)
-    params: KickedTopParams
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -153,7 +135,9 @@ class FloquetEigensystem:
         return max(s.max_residual for s in self.sectors)
 
     def block(self, parity: str) -> SectorEigensystem:
-        """The sector 'even' or 'odd'; ValueError when it is not held."""
+        """The sector 'even' or 'odd'; ValueError for another name or a sector not held."""
+        if parity not in _PARITY:
+            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
         want = _PARITY[parity]
         for s in self.sectors:
             if s.parity == want:
@@ -231,12 +215,6 @@ def _half_dim(parity: int, n: int) -> int:
     return n - n // 2 if _flip(parity, n) > 0 else n // 2
 
 
-def _flip_columns(flip: float, n: int) -> slice:
-    """J_x ladder positions k = -j..j of one flip kind: the symmetric
-    eigenvectors sit at k = j, j-2, ..., the antisymmetric ones between."""
-    return slice((n - 1) % 2 if flip > 0 else n % 2, None, 2)
-
-
 def _mirror(half: np.ndarray, flip: float, n: int) -> np.ndarray:
     """Dicke rows -j..j of flip-(anti)symmetric vectors given on their upper half.
 
@@ -258,104 +236,41 @@ def _mirror(half: np.ndarray, flip: float, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _jx_half(j: float, flip: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ladder values k and eigenvectors u of the flip-symmetric (flip = 1)
-    or flip-antisymmetric (flip = -1) half of J_x, both read-only.
+    """Ladder values k and eigenvectors u of one flip half of J_x, both read-only.
 
-    The only eigensolves of J_x, memoized per (j, flip); callers hold
-    ``_JX_LOCK``.
+    J_x is real symmetric tridiagonal in the Dicke basis with a
+    palindromic off-diagonal, so it commutes with the flip m -> -m, and
+    for integer j every eigenvector is exactly flip-symmetric (flip = 1,
+    k = -j, -j+2, ..., j) or flip-antisymmetric (flip = -1, the k in
+    between).  Each kind is an eigenvector of one half of the ladder,
+    given on its rows m >= 0 as ``_mirror`` takes them: the symmetric
+    half, of size j+1, whose first coupling, to m = 0, carries a factor
+    sqrt2, and the antisymmetric half, of size j, on m = 1..j.  Each
+    half is one dense ``np.linalg.eigh``; the exact spectrum is the
+    integer ladder, so the computed eigenvalues are checked against it
+    and k is the ladder itself.  The only eigensolve of J_x, memoized
+    per (j, flip); callers hold ``_JX_LOCK``.
     """
     basis = SpinBasis(j)
     n = basis.dim
     _, e = jx_tridiagonal(basis)
-    c = n // 2
-    mid = int(n % 2 == 1 and flip > 0)  # integer j: only symmetric vectors have an m = 0 entry
-    off = e[n - c - mid :].copy()
+    mid = int(flip > 0)  # only symmetric vectors have an m = 0 entry
+    off = e[n // 2 + 1 - mid :].copy()
     if mid:
         off[0] *= np.sqrt(2.0)  # <0| J_x (|1> + |-1>)/sqrt2
-    half = np.diag(off, 1) + np.diag(off, -1)
-    if n % 2 == 0:
-        half[0, 0] = flip * e[c - 1]  # the coupling across the middle of the ladder
     try:
-        w, u = np.linalg.eigh(half)
+        w, u = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is pathological
         raise DiagonalizationError(
             f"J_x eigensolver failed for a half of dim={off.size + 1} at dim={n}: {exc}"
         ) from exc
-    k = basis.m_values[_flip_columns(flip, n)]  # same ladder as m, ascending
+    k = basis.m_values[1 - mid :: 2]  # same ladder as m, ascending
     defect = np.max(np.abs(w - k))
     if defect > 1e-8 * max(1.0, basis.j):
         raise DiagonalizationError(f"J_x spectrum defect {defect:.3e} at dim={basis.dim}")
     k.setflags(write=False)
     u.setflags(write=False)
     return k, u
-
-
-@functools.lru_cache(maxsize=4)
-def _jx_dense(j: float) -> tuple[np.ndarray, np.ndarray]:
-    """The N x N J_x eigenvectors mirrored from the halves; callers hold ``_JX_LOCK``."""
-    basis = SpinBasis(j)
-    n = basis.dim
-    vecs = np.empty((n, n))
-    for flip in (1.0, -1.0):
-        vecs[:, _flip_columns(flip, n)] = _mirror(_jx_half(j, flip)[1], flip, n)
-    vecs.setflags(write=False)
-    k = basis.m_values
-    k.setflags(write=False)
-    return k, vecs
-
-
-def jx_eigenbasis(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues k_x = -j..j and orthonormal eigenvectors of J_x.
-
-    J_x is real symmetric tridiagonal in the Dicke basis with a
-    palindromic off-diagonal, so it commutes with the flip m -> -m and
-    every eigenvector is exactly flip-symmetric (k = j, j-2, ...) or
-    flip-antisymmetric (the others).  Each kind is the eigenvector of
-    one half of the ladder, mirrored with 1/sqrt2: for integer j a
-    symmetric half of size j+1 whose first coupling, to m = 0, carries
-    a factor sqrt2, and an antisymmetric half of size j; for
-    half-integer j two halves of size j+1/2 that differ only in the
-    diagonal entry +-e across the middle of the ladder.  Each half is
-    one dense ``np.linalg.eigh``, memoized per (j, flip) where
-    ``diagonalize`` reads it; the N x N matrix is mirrored from them by
-    the helper that derives ``FloquetEigensystem.real_vectors``.  The exact
-    spectrum is the integer (or half-integer) ladder -j..j, so the
-    computed eigenvalues are snapped onto it after a sanity check.
-    Memoized for the last few j; the returned arrays are read-only.
-    Only the oracles ``wigner_d_matrix`` and ``parity_operator`` use it.
-    """
-    with _JX_LOCK:
-        return _jx_dense(basis.j)
-
-
-def wigner_d_matrix(basis: SpinBasis, alpha: float) -> np.ndarray:
-    """Rotation matrix <j,m| exp(-i alpha J_x) |j,m'> in the Dicke basis.
-
-    Built by spectral sum over the J_x eigenbasis; unitary to ~1e-10.
-    """
-    k, v = jx_eigenbasis(basis)
-    return (v * np.exp(-1j * alpha * k)) @ v.T
-
-
-def build_floquet(params: KickedTopParams) -> FloquetOperator:
-    """Kicked-top propagator F[m,m'] = exp(-i kappa m^2 / 2j) d_mm'(alpha)."""
-    basis = params.basis
-    m = basis.m_values
-    kick = np.exp(-1j * params.kappa * m**2 / (2.0 * params.j))
-    d = wigner_d_matrix(basis, params.alpha)
-    return FloquetOperator(matrix=kick[:, None] * d, params=params)
-
-
-def parity_operator(basis: SpinBasis) -> np.ndarray:
-    """Parity e^(i pi (Jx + j)): +1/-1 on alternate J_x eigenvectors.
-
-    In the J_x eigenbasis the eigenvalue is e^(i pi (k_x + j)) = (-1)^(k_x+j),
-    i.e. +1 on every second ladder state starting from k_x = -j.  Rotating
-    back to the Dicke basis gives a real symmetric involution.
-    """
-    k, v = jx_eigenbasis(basis)
-    signs = np.where((np.arange(basis.dim) % 2) == 0, 1.0, -1.0)
-    return (v * signs) @ v.T
 
 
 def _clusters(x: np.ndarray, tol: float, wrap: bool = False) -> list[np.ndarray]:
@@ -501,12 +416,3 @@ def diagonalize(params: KickedTopParams, gap_tol: float = 1e-10, sectors=SECTORS
         blocks.append(SectorEigensystem(parity, nu, o, clusters, residual))
     return FloquetEigensystem(sectors=tuple(blocks), row_phases=h, params=params)
 
-
-def evolve_state(op: FloquetOperator, psi0: np.ndarray, n_kicks: int) -> np.ndarray:
-    """Stroboscopic evolution psi_n = F^n psi_0 by repeated application."""
-    if n_kicks < 0:
-        raise ValueError("n_kicks must be >= 0")
-    psi = np.array(psi0, dtype=complex)
-    for _ in range(n_kicks):
-        psi = op.matrix @ psi
-    return psi

@@ -26,7 +26,8 @@ candidate within a relative 2^-30 of the interval edge or of a
 rounding tie.  Float32 and float16 cells are formatted from their exact
 float64 value, and uint64 columns above 2^63 - 1 go through ``str``.
 Shorter tables, and tables with other columns (bool, str, object,
-complex, longdouble), are written cell by cell as before.
+complex, longdouble), are written cell by cell through ``_fmt``, which
+writes a longdouble cell as the ``repr`` of its float64 rounding.
 
 Files are written to a temporary name in the same directory and renamed
 into place (``_atomic_write``), so a reader never sees a partial file.
@@ -96,12 +97,14 @@ def _fmt(value) -> str:
 def _column_text(a: np.ndarray):
     """Cell texts of one column, as ``_fmt`` writes them.
 
-    Float and integer columns are formatted in one pass over
-    ``a.tolist()``; other dtypes (bool, str, object, complex) go through
-    ``_fmt`` cell by cell, since ``tolist`` would turn numpy bools into
-    Python bools, which ``_fmt`` writes as integers.
+    Float (up to float64) and integer columns are formatted in one pass
+    over ``a.tolist()``; other dtypes (bool, str, object, complex,
+    longdouble) go through ``_fmt`` cell by cell, since ``tolist`` would
+    turn numpy bools into Python bools, which ``_fmt`` writes as
+    integers, and leave longdouble items numpy scalars, whose ``repr``
+    names the type.
     """
-    if a.ndim == 1 and a.dtype.kind == "f":
+    if a.ndim == 1 and a.dtype.kind == "f" and a.dtype.itemsize <= 8:
         return map(repr, a.tolist())
     if a.ndim == 1 and a.dtype.kind in "iu":
         return map(str, a.tolist())

@@ -24,12 +24,7 @@ from kickedtop.classical import (
     _step_batch,
 )
 from kickedtop.coeffstats import chisq_cdf, chisq_pdf, distance_report, pool_rescaled
-from kickedtop.floquet import (
-    KickedTopParams,
-    build_floquet,
-    diagonalize,
-    parity_operator,
-)
+from kickedtop.floquet import KickedTopParams, diagonalize
 from kickedtop.multifractal import averaged_dq, expand_states, renyi_dimensions, scaling_fit
 from kickedtop.spectral import (
     SpacingEnsemble,
@@ -379,10 +374,13 @@ def test_criterion_7_companion_j_endpoints(coeff_pools):
 def test_criterion_8_property_suite():
     checks = []
 
-    # Floquet unitarity and parity commutation at 1e-10
+    # Floquet unitarity and parity commutation at 1e-10, on the dense oracle
+    # F and the parity e^(i pi (Jx + j)), which is the flip m -> -m
+    from test_floquet import char_poly_phases, dense_floquet, flip
+
     p = KickedTopParams(alpha=ALPHA, kappa=3.0, j=200)
-    f = build_floquet(p).matrix
-    pi = parity_operator(p.basis)
+    f = dense_floquet(p)
+    pi = flip(p.basis.dim)
     checks.append(("unitarity", np.max(np.abs(f.conj().T @ f - np.eye(401))) < 1e-10))
     checks.append(("parity commutation", np.max(np.abs(f @ pi - pi @ f)) < 1e-10))
 
@@ -451,15 +449,12 @@ def test_criterion_8_property_suite():
     checks.append(("chi^2 PDF/CDF consistency", cdf_ok))
 
     # small-j eigenphases against an eigensolver-independent oracle
-    from test_floquet import char_poly_phases
-
     small_ok = True
     for j in (1, 2, 3):
         pj = KickedTopParams(alpha=ALPHA, kappa=7.0, j=j)
-        fj = build_floquet(pj)
         eig = diagonalize(pj)
         small_ok &= (
-            np.max(np.abs(np.sort(eig.quasienergies) - char_poly_phases(fj.matrix))) < 1e-10
+            np.max(np.abs(np.sort(eig.quasienergies) - char_poly_phases(dense_floquet(pj)))) < 1e-10
         )
     checks.append(("small-j brute-force eigenphases", small_ok))
 

@@ -288,3 +288,12 @@ def test_format3_file_removed_when_its_key_is_written(tmp_path):
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
         [kept.name, cache_path(tmp_path, PARAMS, "odd").name]
     )
+
+
+@pytest.mark.parametrize("name", ["Even", "both", "", "ODD"])
+def test_unknown_sector_name_is_a_value_error(tmp_path, name):
+    eig = fresh_eigensystem()
+    for call in (eig.block, eig.sector, lambda s: save_eigensystem(tmp_path / "x.ktc", eig, s)):
+        with pytest.raises(ValueError, match="'even' or 'odd'"):
+            call(name)
+    assert list(tmp_path.iterdir()) == []

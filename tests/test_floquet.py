@@ -11,15 +11,7 @@ from scipy.optimize import linear_sum_assignment
 
 from kickedtop import floquet
 from kickedtop.classical import ClassicalState, classical_step
-from kickedtop.floquet import (
-    KickedTopParams,
-    build_floquet,
-    diagonalize,
-    evolve_state,
-    jx_eigenbasis,
-    parity_operator,
-    wigner_d_matrix,
-)
+from kickedtop.floquet import KickedTopParams, diagonalize
 from kickedtop.spin import SpinBasis, angular_momentum, coherent_state, jx_tridiagonal
 
 ALPHA = 4 * np.pi / 7
@@ -57,30 +49,53 @@ def char_poly_phases(matrix):
     return np.sort(np.where(nu >= np.pi, nu - 2 * np.pi, nu))
 
 
-def test_wigner_d_alpha_zero_is_identity():
-    d = wigner_d_matrix(SpinBasis(9), 0.0)
-    assert np.max(np.abs(d - np.eye(19))) < 1e-12
+def dense_jx(basis):
+    """Eigenvalues and eigenvectors of the full N x N J_x, one dense eigh."""
+    return np.linalg.eigh(angular_momentum(basis, "x").real)
 
 
-def test_wigner_d_spin_half_closed_form():
-    alpha = 1.37
-    d = wigner_d_matrix(SpinBasis(0.5), alpha)
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    expected = np.cos(alpha / 2) * np.eye(2) - 1j * np.sin(alpha / 2) * sx
-    assert np.max(np.abs(d - expected)) < 1e-12
+def dense_floquet(params):
+    """Dense F = diag(e^(-i kappa m^2 / 2j)) V diag(e^(-i alpha k)) V^T.
+
+    An oracle that shares no code with ``diagonalize``: no flip halves,
+    no J_x memo, no split kick, the J_x eigensystem (k, V) from
+    ``dense_jx``.
+    """
+    k, v = dense_jx(params.basis)
+    d = (v * np.exp(-1j * params.alpha * k)) @ v.T
+    m = params.basis.m_values
+    return np.exp(-1j * params.kappa * m**2 / (2.0 * params.j))[:, None] * d
+
+
+def flip(n):
+    """The parity e^(i pi (J_x + j)) of integer j: the flip m -> -m."""
+    return np.eye(n)[::-1]
+
+
+def jx_half(j, sign):
+    """The package's flip-symmetric (sign = 1) or antisymmetric J_x half."""
+    with floquet._JX_LOCK:
+        return floquet._jx_half(float(j), float(sign))
 
 
 def test_wigner_d_vs_matrix_exponential():
+    # the oracle's rotation (kappa = 0) and its F against expm
     basis = SpinBasis(20)
-    d = wigner_d_matrix(basis, ALPHA)
+    d = dense_floquet(KickedTopParams(alpha=ALPHA, kappa=0.0, j=20))
     assert np.max(np.abs(d.conj().T @ d - np.eye(41))) < 1e-10
     expected = sla.expm(-1j * ALPHA * angular_momentum(basis, "x"))
     assert np.max(np.abs(d - expected)) < 1e-8
+    f = dense_floquet(KickedTopParams(alpha=ALPHA, kappa=3.0, j=20))
+    kick = np.exp(-1j * 3.0 * basis.m_values**2 / 40.0)
+    assert np.max(np.abs(f - kick[:, None] * expected)) < 1e-8
 
 
-def test_floquet_trivial_is_identity():
-    f = build_floquet(KickedTopParams(alpha=0.0, kappa=0.0, j=6))
-    assert np.max(np.abs(f.matrix - np.eye(13))) < 1e-12
+def test_parity_is_the_flip():
+    for j in (1, 5, 12):
+        basis = SpinBasis(j)
+        n = basis.dim
+        p = sla.expm(1j * np.pi * (angular_momentum(basis, "x") + j * np.eye(n)))
+        assert np.max(np.abs(p - flip(n))) < 1e-10
 
 
 def test_floquet_kappa_zero_phases():
@@ -92,33 +107,10 @@ def test_floquet_kappa_zero_phases():
     assert np.max(np.abs(np.sort(eig.quasienergies) - np.sort(expected))) < 1e-10
 
 
-@pytest.mark.slow
-def test_floquet_unitarity_j1000():
-    f = build_floquet(KickedTopParams(alpha=ALPHA, kappa=3.0, j=1000))
-    defect = np.max(np.abs(f.matrix.conj().T @ f.matrix - np.eye(2001)))
-    assert defect < 1e-10
-
-
-def test_parity_j1_eigenvalues():
-    p = parity_operator(SpinBasis(1))
-    assert np.allclose(np.linalg.eigvalsh(p), [-1.0, 1.0, 1.0], atol=1e-12)
-
-
-def test_parity_trace_counts_sectors():
-    # trace = D_even - D_odd = 1 for integer j
-    assert abs(np.trace(parity_operator(SpinBasis(5))).real - 1.0) < 1e-12
-
-
-def test_parity_involution_hermitian():
-    p = parity_operator(SpinBasis(12))
-    assert np.max(np.abs(p @ p - np.eye(25))) < 1e-10
-    assert np.max(np.abs(p - p.conj().T)) < 1e-12
-
-
 def test_parity_commutes_with_floquet():
     params = KickedTopParams(alpha=ALPHA, kappa=3.0, j=50)
-    f = build_floquet(params).matrix
-    p = parity_operator(params.basis)
+    f = dense_floquet(params)
+    p = flip(params.basis.dim)
     assert np.max(np.abs(f @ p - p @ f)) < 1e-10
 
 
@@ -131,18 +123,16 @@ def test_diagonalize_identity_floquet():
 
 def test_small_matrix_vs_characteristic_polynomial():
     params = KickedTopParams(alpha=ALPHA, kappa=3.0, j=2)
-    f = build_floquet(params)
     eig = diagonalize(params)
-    oracle = char_poly_phases(f.matrix)
+    oracle = char_poly_phases(dense_floquet(params))
     assert np.max(np.abs(np.sort(eig.quasienergies) - oracle)) < 1e-10
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_small_j_eigenphases_bruteforce(j):
     params = KickedTopParams(alpha=ALPHA, kappa=7.0, j=j)
-    f = build_floquet(params)
     eig = diagonalize(params)
-    assert np.max(np.abs(np.sort(eig.quasienergies) - char_poly_phases(f.matrix))) < 1e-10
+    assert np.max(np.abs(np.sort(eig.quasienergies) - char_poly_phases(dense_floquet(params)))) < 1e-10
 
 
 @pytest.mark.parametrize("j,kappa", [(2, 3.0), (5, 0.4), (150, 3.0)])
@@ -161,7 +151,7 @@ def test_sector_counts_j1000():
 
 def test_eigen_residual_and_orthonormality():
     eig = eigensystem(150, 3.0)
-    f = build_floquet(KickedTopParams(alpha=ALPHA, kappa=3.0, j=150)).matrix
+    f = dense_floquet(KickedTopParams(alpha=ALPHA, kappa=3.0, j=150))
     residual = f @ eig.eigenvectors - eig.eigenvectors * np.exp(1j * eig.quasienergies)
     assert np.max(np.linalg.norm(residual, axis=0)) < 1e-8
     gram = eig.eigenvectors.conj().T @ eig.eigenvectors
@@ -175,7 +165,7 @@ def test_degenerate_clusters_resolved():
     # so the spectrum has exact degeneracies that need the cluster path
     eig = eigensystem(30, 0.0)
     assert eig.degenerate_clusters > 0
-    f = build_floquet(KickedTopParams(alpha=ALPHA, kappa=0.0, j=30)).matrix
+    f = dense_floquet(KickedTopParams(alpha=ALPHA, kappa=0.0, j=30))
     residual = f @ eig.eigenvectors - eig.eigenvectors * np.exp(1j * eig.quasienergies)
     assert np.max(np.abs(residual)) < 1e-10
     gram = eig.eigenvectors.conj().T @ eig.eigenvectors
@@ -187,9 +177,9 @@ def test_two_diagonalization_routes_agree():
     # brute-force oracle: a general complex eigensolver on the dense F
     params = KickedTopParams(alpha=ALPHA, kappa=3.0, j=60)
     eig = diagonalize(params)
-    z, vecs = sla.eig(build_floquet(params).matrix)
+    z, vecs = sla.eig(dense_floquet(params))
     assert circle_distance(eig.quasienergies, z) < 1e-8
-    pexp = np.real(np.sum(vecs.conj() * (parity_operator(params.basis) @ vecs), axis=0))
+    pexp = np.real(np.sum(vecs.conj() * (flip(params.basis.dim) @ vecs), axis=0))
     for parity, sign in (("even", 1), ("odd", -1)):
         assert circle_distance(eig.sector(parity), z[np.sign(pexp) == sign]) < 1e-8
     gram = eig.eigenvectors.conj().T @ eig.eigenvectors
@@ -201,7 +191,7 @@ def test_phases_folding_at_pi_match_oracle():
     # cut at -pi, where the oracle may report +pi
     params = KickedTopParams(alpha=np.pi / 2, kappa=0.0, j=9)
     eig = diagonalize(params)
-    assert circle_distance(eig.quasienergies, sla.eigvals(build_floquet(params).matrix)) < 1e-10
+    assert circle_distance(eig.quasienergies, sla.eigvals(dense_floquet(params))) < 1e-10
     assert np.all(eig.quasienergies >= -np.pi) and np.all(eig.quasienergies < np.pi)
 
 
@@ -214,12 +204,12 @@ def test_phases_folding_at_pi_match_oracle():
 def test_diagonalize_properties(alpha, kappa, j):
     params = KickedTopParams(alpha=alpha, kappa=kappa, j=j)
     eig = diagonalize(params)
-    f = build_floquet(params).matrix
+    f = dense_floquet(params)
     v = eig.eigenvectors
     residual = np.linalg.norm(f @ v - v * np.exp(1j * eig.quasienergies), axis=0)
     assert np.max(residual) < 1e-9
     assert np.max(np.abs(v.conj().T @ v - np.eye(2 * j + 1))) < 1e-10
-    pexp = np.real(np.sum(v.conj() * (parity_operator(params.basis) @ v), axis=0))
+    pexp = np.real(np.sum(v.conj() * (flip(2 * j + 1) @ v), axis=0))
     assert np.max(np.abs(pexp - eig.parities)) < 1e-10
     assert int(np.sum(eig.parities == 1)) == j + 1
     assert int(np.sum(eig.parities == -1)) == j
@@ -251,7 +241,7 @@ def test_collision_split(monkeypatch, alpha):
     params = KickedTopParams(alpha=alpha, kappa=0.0, j=j)
     eig = diagonalize(params)
     assert sizes and max(sizes) >= 2
-    f = build_floquet(params).matrix
+    f = dense_floquet(params)
     residual = f @ eig.eigenvectors - eig.eigenvectors * np.exp(1j * eig.quasienergies)
     assert np.max(np.linalg.norm(residual, axis=0)) < 1e-10
     expected = np.exp(-1j * alpha * np.arange(-j, j + 1))
@@ -296,21 +286,27 @@ def test_eigensystem_stores_only_real_matrices():
 
 
 def test_jx_eigenbasis_memoized_read_only():
-    k, v = jx_eigenbasis(SpinBasis(17))
-    again = jx_eigenbasis(SpinBasis(17.0))
-    assert again[0] is k and again[1] is v
-    assert not k.flags.writeable and not v.flags.writeable
+    for sign in (1, -1):
+        k, u = jx_half(17, sign)
+        again = floquet._jx_half(17, sign)
+        assert again[0] is k and again[1] is u
+        assert not k.flags.writeable and not u.flags.writeable
 
 
-@pytest.mark.parametrize("j", [0.5, 1, 7.5, 30, 101.5, 400])
+@pytest.mark.parametrize("j", [1, 30, 400])
 def test_jx_eigenbasis_from_flip_halves(j):
+    # the halves mirrored into the N x N matrix, as diagonalize's real_vectors does
     basis = SpinBasis(j)
-    k, v = jx_eigenbasis(basis)
     n = basis.dim
+    k, v = np.empty(n), np.empty((n, n))
+    for sign in (1, -1):
+        cols = slice(int(sign < 0), None, 2)
+        k[cols], half = jx_half(j, sign)
+        v[:, cols] = floquet._mirror(half, sign, n)
     # flip-symmetric columns at k = j, j-2, ..., antisymmetric in between
     for i in range(n):
-        flip = 1.0 if (n - 1 - i) % 2 == 0 else -1.0
-        assert np.array_equal(v[::-1, i], flip * v[:, i])
+        sign = 1.0 if (n - 1 - i) % 2 == 0 else -1.0
+        assert np.array_equal(v[::-1, i], sign * v[:, i])
     assert np.array_equal(k, basis.m_values)
     jx = angular_momentum(basis, "x").real
     assert np.max(np.abs(jx @ v - v * k)) <= 1e-12 * max(1.0, j)
@@ -339,22 +335,6 @@ def test_clusters_match_split_oracle():
             got, want = floquet._clusters(x, 1e-4, wrap), oracle(x, 1e-4, wrap)
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
-
-
-def test_jx_eigenbasis_computed_once_across_threads():
-    floquet._jx_half.cache_clear()
-    floquet._jx_dense.cache_clear()
-    n_threads = 4  # more than the cores of a small CI runner
-    barrier = threading.Barrier(n_threads)
-
-    def fetch(_):
-        barrier.wait()
-        return jx_eigenbasis(SpinBasis(300))
-
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        results = list(pool.map(fetch, range(n_threads)))
-    assert all(r[1] is results[0][1] for r in results)
-    assert floquet._jx_half.cache_info().misses == 2  # one eigensolve per flip half
 
 
 def test_diagonalize_solves_jx_once_across_threads():
@@ -415,7 +395,7 @@ def test_sectors_match_full_row_oracle(j, kappa):
     # each sector block in the full-row J_x basis: W = b^T K^(1/2) b, M = W diag(e^(-i alpha k)) W
     params = KickedTopParams(alpha=ALPHA, kappa=kappa, j=j)
     eig = diagonalize(params)
-    k, v = jx_eigenbasis(params.basis)
+    k, v = dense_jx(params.basis)
     for parity, cols in (("even", slice(0, None, 2)), ("odd", slice(1, None, 2))):
         b = v[:, cols]
         w = (b.T * params.half_kick) @ b
@@ -429,49 +409,28 @@ def test_sectors_match_full_row_oracle(j, kappa):
     assert eig.max_residual <= 1e-9
 
 
-def test_determinant_modulus_one():
-    f = build_floquet(KickedTopParams(alpha=ALPHA, kappa=5.0, j=40))
-    _, logdet = np.linalg.slogdet(f.matrix)
-    assert abs(logdet) < 1e-8
-
-
-def test_evolve_zero_kicks_identity():
-    f = build_floquet(KickedTopParams(alpha=ALPHA, kappa=7.0, j=10))
-    psi = coherent_state(SpinBasis(10), 1.0, 2.0).amplitudes
-    assert np.array_equal(evolve_state(f, psi, 0), psi)
-
-
-def test_evolve_trivial_floquet():
-    f = build_floquet(KickedTopParams(alpha=0.0, kappa=0.0, j=9))
-    psi = coherent_state(SpinBasis(9), 0.8, 0.3).amplitudes
-    assert np.max(np.abs(evolve_state(f, psi, 57) - psi)) < 1e-12
-
-
-def test_evolve_composition():
-    f = build_floquet(KickedTopParams(alpha=ALPHA, kappa=3.0, j=15))
-    psi = coherent_state(SpinBasis(15), 2.0, 5.0).amplitudes
-    ab = evolve_state(f, psi, 13)
-    composed = evolve_state(f, evolve_state(f, psi, 6), 7)
-    assert np.max(np.abs(ab - composed)) < 1e-10
-
-
 def test_evolve_norm_and_classical_tracking():
     # expectation values track the classical map until the Ehrenfest
     # time ~ ln(sqrt(j))/lambda, about 2 kicks at j=50, kappa=7
     j, theta0, phi0 = 50, 2.0, 0.8
     params = KickedTopParams(alpha=ALPHA, kappa=7.0, j=j)
-    f = build_floquet(params)
+    eig = diagonalize(params)
+    v, nu = eig.eigenvectors, eig.quasienergies
+
+    def evolve(psi, n_kicks):
+        # psi_n = F^n psi_0 = V diag(e^(i n nu)) V^dagger psi_0
+        return v @ (np.exp(1j * n_kicks * nu) * (v.conj().T @ psi))
+
     jz = angular_momentum(SpinBasis(j), "z")
-    psi = coherent_state(SpinBasis(j), theta0, phi0).amplitudes
+    psi0 = coherent_state(SpinBasis(j), theta0, phi0).amplitudes
     state = ClassicalState.from_angles(theta0, phi0)
     for n in range(3):
+        psi = evolve(psi0, n)
         quantum = (psi.conj() @ jz @ psi).real / j
         tol = 1e-10 if n <= 1 else 0.1
         assert abs(quantum - state.S[2]) < tol, f"kick {n}"
-        psi = evolve_state(f, psi, 1)
         state = classical_step(state, params)
-    psi = evolve_state(f, coherent_state(SpinBasis(j), theta0, phi0).amplitudes, 100)
-    assert abs(np.linalg.norm(psi) - 1.0) < 1e-8
+    assert abs(np.linalg.norm(evolve(psi0, 100)) - 1.0) < 1e-8
 
 
 def test_params_validation():

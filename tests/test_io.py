@@ -55,6 +55,12 @@ def test_csv_bytes_match_per_cell_format(tmp_path):
     assert path.read_text().splitlines()[2].split(",")[3] == "True"
 
 
+def test_longdouble_column_written_as_fmt(tmp_path):
+    x = np.array([1.1, 2.5], dtype=np.longdouble)
+    path = write_csv(tmp_path / "ld.csv", {"x": x}, {})
+    assert path.read_text().splitlines() == ["x", _fmt(x[0]), _fmt(x[1])]
+
+
 def test_csv_unequal_columns_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", {"a": [1.0, 2.0], "b": [1.0]}, {})
