@@ -46,6 +46,7 @@ from .coeffstats import (
     chisq_cdf,
     chisq_logpdf_form,
     distance_report,
+    empirical_cdf,
     empirical_log_histogram,
     pool_rescaled,
 )
@@ -496,9 +497,7 @@ def cmd_coeffdist(args) -> int:
         pool = pool_rescaled(coherent_weights(p.basis, run.eigensystem(p), theta, phi))
         hist = empirical_log_histogram(pool)
         ref = chisq_logpdf_form(np.exp(hist.centers), nu, pool.mean_x)
-        xs = np.sort(pool.x[pool.x > 0])
-        grid = np.linspace(xs[0], xs[-1], 512)
-        f_emp = np.searchsorted(xs, grid, side="right") / xs.size
+        grid, f_emp = empirical_cdf(pool, 512)
         return hist, ref, (grid, f_emp, chisq_cdf(grid, nu, pool.mean_x)), distance_report(pool, nu)
 
     results = run.scan(one, points)

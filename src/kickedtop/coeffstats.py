@@ -6,11 +6,18 @@ For fully chaotic dynamics the pooled x statistics follow the chi^2_nu
 family (nu = 1, 2, 4 for orthogonal / unitary / symplectic coefficient
 statistics; complex Floquet overlaps give nu = 2, and nu = 1 is the
 Porter-Thomas case).
+
+A pool holds x ascending (``pool_rescaled`` sorts it in place once the
+mean is taken), so its positive entries are a view past the zeros and
+their logarithm is taken once per pool.  The readers,
+``empirical_log_histogram``, ``empirical_cdf`` and ``distance_report``,
+use these and never mask, sort or log the pool again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import lgamma
 
 import numpy as np
@@ -24,22 +31,31 @@ __all__ = [
     "chisq_logpdf_form",
     "chisq_cdf",
     "empirical_log_histogram",
+    "empirical_cdf",
     "distance_report",
 ]
 
 DENSITY_FLOOR = 1e-300  # floor for predicted bin masses inside the KL sum
+RMSE_GRID = 2048  # points of the uniform x grid the RMSE integrates over
 
 
-@dataclass(frozen=True)
 class RescaledCoefficients:
-    """Pooled rescaled weights x_i = N |w_i|^2 over many coherent states."""
+    """Pooled rescaled weights x_i = N |w_i|^2 over many coherent states,
+    held ascending, with at least one positive entry and no NaN."""
 
-    x: np.ndarray = field(repr=False)
-    mean_x: float
+    def __init__(self, x, mean_x: float):
+        x = np.asarray(x, dtype=float)
+        if not np.all(x[:-1] <= x[1:]):  # unsorted, or a NaN somewhere
+            x = np.sort(x)  # a sorted copy; the caller's array is left as it is
+        if not (x.size and x[-1] > 0):  # np.sort puts NaN last
+            raise ValueError("pool needs a positive entry and no NaN")
+        self.x, self.mean_x, self.n = x, mean_x, x.size
+        self.positive = x[np.searchsorted(x, 0.0, side="right") :]  # a view past the zeros
 
-    @property
-    def n(self) -> int:
-        return self.x.size
+    @cached_property
+    def log_positive(self) -> np.ndarray:
+        """ln of ``positive``, taken once per pool."""
+        return np.log(self.positive)
 
 
 @dataclass(frozen=True)
@@ -71,7 +87,6 @@ class DistanceReport:
     nu: int
     n_bins: int
     n_grid: int
-    squared_cdf_integrand: bool
 
 
 def pool_rescaled(weights: np.ndarray) -> RescaledCoefficients:
@@ -79,11 +94,13 @@ def pool_rescaled(weights: np.ndarray) -> RescaledCoefficients:
 
     Per state the mean of x is exactly 1 (normalization times N); the
     recorded mean_x is the pooled empirical mean used as the chi^2
-    scale.
+    scale, taken in input order before x is sorted in place.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
     x = (w * w.shape[1]).ravel()
-    return RescaledCoefficients(x=x, mean_x=float(x.mean()))
+    mean_x = float(x.mean())
+    x.sort()
+    return RescaledCoefficients(x=x, mean_x=mean_x)
 
 
 def chisq_pdf(x, nu: int, mean_x: float = 1.0):
@@ -147,67 +164,46 @@ def empirical_log_histogram(pool: RescaledCoefficients, bins=50) -> LogHistogram
     Exact zeros cannot enter a log histogram; they are dropped and
     counted.  ``bins`` may be an integer or precomputed ln-x edges.
     """
-    if pool.n == 0:
-        raise ValueError("empty pool")
-    positive = pool.x[pool.x > 0]
-    if positive.size == 0:
-        raise ValueError("no positive entries in pool")
-    y = np.log(positive)
-    density, edges = np.histogram(y, bins=bins, density=True)
-    return LogHistogram(
-        bin_edges=edges, density=density, n_zero_excluded=pool.n - positive.size
-    )
+    density, edges = np.histogram(pool.log_positive, bins=bins, density=True)
+    return LogHistogram(edges, density, n_zero_excluded=pool.n - pool.positive.size)
 
 
-def distance_report(
-    pool: RescaledCoefficients,
-    nu: int = 2,
-    squared_cdf_integrand: bool = True,
-    n_grid: int = 2048,
-) -> DistanceReport:
+def empirical_cdf(pool: RescaledCoefficients, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, F_emp): the empirical CDF of the positive entries on n
+    uniform points of [x_0, x_m] = [min x, max x] over x > 0."""
+    positive = pool.positive
+    grid = np.linspace(positive[0], positive[-1], n)
+    return grid, np.searchsorted(positive, grid, side="right") / positive.size
+
+
+def distance_report(pool: RescaledCoefficients, nu: int = 2) -> DistanceReport:
     """SKLD and RMSE of the pooled sample against chi^2_nu.
 
     SKLD: histogram density estimate of P(x) with Freedman-Diaconis
     binning in ln x; predicted bin masses below the floor are clamped.
-    RMSE: empirical versus reference CDF on a uniform grid over
-    [x_0, x_m] = [min x, max x].  The integrand is squared, as the name
-    requires; ``squared_cdf_integrand=False`` reproduces the literal
-    unsquared form (with absolute value so the root stays defined) for
-    comparison purposes.
+    RMSE: empirical versus reference CDF on ``RMSE_GRID`` uniform points
+    of [x_0, x_m] = [min x, max x].  The paper's formula leaves the
+    integrand unsquared; it is squared here, as the name requires.
     """
     _check_nu(nu)
-    positive = np.sort(pool.x[pool.x > 0])
-    if positive.size < 2 or positive[0] == positive[-1]:
+    positive = pool.positive
+    x0, xm = positive[0], positive[-1]
+    if x0 == xm:
         raise ValueError("degenerate pool")
-    mean_x = pool.mean_x
 
     # ---- SKLD over Freedman-Diaconis log-bins
-    edges_y = _fd_log_edges(np.log(positive))
-    edges_x = np.exp(edges_y)
-    edges_x[0], edges_x[-1] = positive[0], positive[-1]  # guard rounding at the ends
+    edges_x = np.exp(_fd_log_edges(pool.log_positive))
+    edges_x[0], edges_x[-1] = x0, xm  # guard rounding at the ends
     counts, _ = np.histogram(positive, bins=edges_x)
     p_hat = counts / positive.size
-    q_ref = np.diff(chisq_cdf(edges_x, nu, mean_x))
-    q_ref = np.maximum(q_ref, DENSITY_FLOOR)
+    q_ref = np.maximum(np.diff(chisq_cdf(edges_x, nu, pool.mean_x)), DENSITY_FLOOR)
     mask = p_hat > 0
     kl = float(np.sum(p_hat[mask] * np.log(p_hat[mask] / q_ref[mask])))
     skld = float(np.sqrt(max(kl, 0.0)))
 
     # ---- RMSE between cumulatives on [x_0, x_m]
-    x0, xm = positive[0], positive[-1]
-    grid = np.linspace(x0, xm, n_grid)
-    f_emp = np.searchsorted(positive, grid, side="right") / positive.size
-    f_ref = chisq_cdf(grid, nu, mean_x)
-    diff = f_emp - f_ref
-    integrand = diff**2 if squared_cdf_integrand else np.abs(diff)
-    rmse = float(np.sqrt(np.trapezoid(integrand, grid) / (xm - x0)))
-
-    return DistanceReport(
-        skld=skld,
-        rmse=rmse,
-        x_range=(float(x0), float(xm)),
-        nu=nu,
-        n_bins=len(edges_x) - 1,
-        n_grid=n_grid,
-        squared_cdf_integrand=squared_cdf_integrand,
-    )
+    grid, f_emp = empirical_cdf(pool, RMSE_GRID)
+    diff = f_emp - chisq_cdf(grid, nu, pool.mean_x)
+    rmse = float(np.sqrt(np.trapezoid(diff**2, grid) / (xm - x0)))
+    return DistanceReport(skld=skld, rmse=rmse, x_range=(float(x0), float(xm)), nu=nu,
+                          n_bins=len(edges_x) - 1, n_grid=RMSE_GRID)

@@ -140,6 +140,50 @@ def test_coeffdist_small(tmp_path):
     assert np.all(np.diff(cdf["F_emp"]) >= 0)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_coeffdist_cdf_and_zeros_recomputed(tmp_path, threads):
+    from kickedtop.classical import haar_sphere, rng_for_task
+    from kickedtop.cli import ALPHA_DEFAULT
+    from kickedtop.floquet import KickedTopParams, diagonalize
+    from kickedtop.multifractal import coherent_weights
+
+    assert run("coeffdist", "--j-list", "15", "--kappa", "1,6", "--samples", "400",
+               "--threads", threads, "--out", tmp_path) == 0
+    for idx, (kappa, tag) in enumerate([(1.0, "1"), (6.0, "6")]):  # task index = point order
+        p = KickedTopParams(alpha=ALPHA_DEFAULT, kappa=kappa, j=15)
+        theta, phi = haar_sphere(400, rng_for_task(0, idx))
+        w = coherent_weights(p.basis, diagonalize(p), theta, phi)
+        x = (w * w.shape[1]).ravel()
+        xs = np.sort(x[x > 0])
+        _, cdf = read_csv(tmp_path / f"cdf_j15_kappa{tag}.csv")
+        assert np.array_equal(cdf["F_emp"], np.searchsorted(xs, cdf["x"], side="right") / xs.size)
+        assert np.array_equal(cdf["x"], np.linspace(xs[0], xs[-1], 512))
+        meta, _ = read_csv(tmp_path / f"lnx_hist_j15_kappa{tag}.csv")
+        assert int(meta["zeros_excluded"]) == np.count_nonzero(x == 0)
+
+
+COEFFDIST_PEAK = """
+import sys
+from kickedtop.cli import main
+assert main(sys.argv[1:]) == 0
+print([line for line in open("/proc/self/status") if line.startswith("VmHWM")][0].split()[1])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_coeffdist_peak_memory_bounded(tmp_path):
+    # one pool of 10^4 states at j = 400 is 64 MB of x; the reduction must not copy it many times
+    src = str(Path(kickedtop.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["coeffdist", "--j-list", "400", "--kappa", "7", "--threads", "1", "--no-cache",
+            "--out", str(tmp_path)]
+    proc = subprocess.run([sys.executable, "-c", COEFFDIST_PEAK, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) / 1024 <= 300  # VmHWM is in kB
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\norbits = 4\nkicks = 6\nseed = 9\n")

@@ -94,6 +94,44 @@ def test_pool_rescaled_unit_mean():
     assert np.max(np.abs((w * 31).mean(axis=1) - 1.0)) < 1e-12
 
 
+def dirichlet_with_zeros(n_states=300, dim=41, seed=3):
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(dim), size=n_states)
+    w[rng.random(w.shape) < 0.1] = 0.0  # exact zeros, as a cut-off amplitude leaves
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def test_pool_sorted_with_input_order_mean():
+    w = dirichlet_with_zeros()
+    pool = pool_rescaled(w)
+    assert np.count_nonzero(w == 0) > 0
+    assert np.all(pool.x[:-1] <= pool.x[1:])
+    assert pool.mean_x == float((w * w.shape[1]).ravel().mean())
+    assert np.shares_memory(pool.positive, pool.x)
+    assert pool.positive.size == np.count_nonzero(w) and pool.positive[0] > 0
+
+
+def test_readers_exact_on_a_shuffled_pool():
+    w = dirichlet_with_zeros()
+    pool = pool_rescaled(w)
+    shuffled = np.random.default_rng(4).permutation(pool.x)
+    kept = shuffled.copy()
+    other = RescaledCoefficients(x=shuffled, mean_x=pool.mean_x)
+    assert np.array_equal(shuffled, kept)  # sorted as a copy
+    assert np.array_equal(other.x, pool.x)
+    a, b = empirical_log_histogram(pool), empirical_log_histogram(other)
+    assert np.array_equal(a.bin_edges, b.bin_edges) and np.array_equal(a.density, b.density)
+    assert a.n_zero_excluded == b.n_zero_excluded == np.count_nonzero(w == 0)
+    for nu in (1, 2, 4):
+        assert distance_report(pool, nu) == distance_report(other, nu)
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0], [1.0, np.nan, 2.0], [np.nan]])
+def test_pool_needs_a_positive_entry_and_no_nan(x):
+    with pytest.raises(ValueError):
+        RescaledCoefficients(x=np.array(x), mean_x=1.0)
+
+
 def test_log_histogram_matches_exponential_reference():
     rng = np.random.default_rng(12)
     pool = RescaledCoefficients(x=rng.exponential(size=1_000_000), mean_x=1.0)
@@ -154,15 +192,6 @@ def test_distance_nonnegative_and_metadata():
     assert rep.skld >= 0 and rep.rmse >= 0
     assert rep.x_range[0] > 0 and rep.x_range[1] > rep.x_range[0]
     assert rep.n_bins >= 10 and rep.n_grid > 0
-
-
-def test_unsquared_variant_differs():
-    rng = np.random.default_rng(10)
-    pool = pool_from_samples(rng.exponential(size=20_000) * 1.7)
-    squared = distance_report(pool, nu=2, squared_cdf_integrand=True)
-    literal = distance_report(pool, nu=2, squared_cdf_integrand=False)
-    assert squared.rmse != literal.rmse
-    assert literal.squared_cdf_integrand is False
 
 
 def test_degenerate_pool_rejected():
