@@ -14,9 +14,21 @@ the unit sphere to machine precision.
 
 One in-place kick, ``_kick``, advances a batch of trajectories held as
 three coordinate arrays (and optionally their tangent vectors); every
-other operation is a view of it.  Lyapunov exponents use the
-single-tangent-vector Benettin estimator with per-step renormalization,
-per kick (unit time between kicks).
+other operation is a view of it.  Its parameters are per trajectory:
+kappa, sin a and cos a are scalars shared by the batch or arrays with
+one entry per trajectory, and sin a and cos a are taken once per batch,
+not per kick.  So each recipe runs as one batch over all its parameter
+points: a field or a portrait over several kappa, a (kappa, alpha) scan
+of phase-space averages, and each level of the ``kappa_threshold``
+bisection across all alpha still open.  A batch runs in chunks of
+``CHUNK_TRAJECTORIES`` trajectories, through an optional ``scan``
+callable (the CLI passes its thread pool); a trajectory's result is
+bit-identical whatever batch, chunk or thread it runs in.
+
+Lyapunov exponents use the single-tangent-vector Benettin estimator
+with per-step renormalization, per kick (unit time between kicks).
+Phase portraits record the points of ``RECORD_KICKS`` kicks at a time
+and take their angles once per block.
 """
 
 from __future__ import annotations
@@ -47,6 +59,7 @@ __all__ = [
 
 DEFAULT_TRANSIENT = 100  # kicks discarded before Lyapunov accumulation
 CHUNK_TRAJECTORIES = 16384  # trajectories per kernel chunk: ~14 work arrays in 2 MB of L2
+RECORD_KICKS = 32  # portrait points recorded per block before their angles are taken
 
 
 @dataclass(frozen=True)
@@ -73,10 +86,48 @@ def _unit_vectors(theta, phi) -> np.ndarray:
     )
 
 
-def _kick(x, y, z, alpha, kappa, scratch, tangent=None):
+def _serial(compute, items) -> list:
+    """``compute(index, item)`` for every item, in order, on this thread."""
+    return [compute(i, item) for i, item in enumerate(items)]
+
+
+def _chunked(n: int, scan, compute, *values) -> None:
+    """Run ``compute(rows, *values)`` over consecutive slices ``rows`` of
+    range(n), ``CHUNK_TRAJECTORIES`` long, through ``scan`` (same call
+    form as ``_serial``, the default), e.g. the CLI's thread pool.  Each
+    of ``values`` is a scalar shared by all trajectories, passed as it
+    is, or an array with one entry per trajectory, passed as its rows."""
+
+    def one(_, rows):
+        compute(rows, *(v[rows] if np.ndim(v) else v for v in values))
+
+    chunks = [slice(lo, lo + CHUNK_TRAJECTORIES) for lo in range(0, n, CHUNK_TRAJECTORIES)]
+    (scan or _serial)(one, chunks)
+
+
+def _points(params) -> tuple[list, bool]:
+    """(points, single): one parameter set as a list of one, or a sequence."""
+    single = hasattr(params, "kappa")
+    return ([params] if single else list(params)), single
+
+
+def _per_trajectory(points, n: int):
+    """(alpha, kappa) for n trajectories per point, point-major: one
+    point's scalars, or each point's values repeated n times."""
+    if len(points) == 1:
+        return points[0].alpha, points[0].kappa
+    return (
+        np.repeat(np.array([p.alpha for p in points], dtype=float), n),
+        np.repeat(np.array([p.kappa for p in points], dtype=float), n),
+    )
+
+
+def _kick(x, y, z, sa, ca, kappa, scratch, tangent=None):
     """Advance sphere points (x, y, z) one kick, in place.
 
-    x, y, z are 1-D arrays of equal length; ``scratch`` is a sequence of
+    x, y, z are 1-D arrays of equal length; sa, ca and kappa are
+    sin(alpha), cos(alpha) and kappa, each a scalar or an array of that
+    length (one entry per trajectory).  ``scratch`` is a sequence of
     five work arrays of that length, clobbered.  ``tangent``, when given,
     is (dx, dy, dz), advanced in place by the tangent map at the old
     points (no renormalization).  Writing W = R_x(a) S, X = kappa W_z:
@@ -89,7 +140,6 @@ def _kick(x, y, z, alpha, kappa, scratch, tangent=None):
     dS'_x/dX = -S'_y and dS'_y/dX = S'_x hold bit for bit, since IEEE
     negation is exact, which saves four products per kick.
     """
-    sa, ca = np.sin(alpha), np.cos(alpha)
     wy, sx, cx, t, u = scratch
     # one ufunc per operation of the formulas above, in their order:
     # reordering a sum or product would move the last bits of lambda
@@ -134,7 +184,7 @@ def _kick(x, y, z, alpha, kappa, scratch, tangent=None):
 def _step_batch(s: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
     """Advance a batch of sphere points one kick; s has shape (n, 3)."""
     x, y, z = np.array(s, dtype=float).T.copy()
-    _kick(x, y, z, alpha, kappa, np.empty((5, x.size)))
+    _kick(x, y, z, np.sin(alpha), np.cos(alpha), kappa, np.empty((5, x.size)))
     return np.stack([x, y, z], axis=1)
 
 
@@ -162,30 +212,34 @@ def jacobian(state, params) -> np.ndarray:
 
 def _lyapunov_batch(
     s0: np.ndarray,
-    alpha: float,
-    kappa: float,
+    alpha,
+    kappa,
     n_kicks: int,
     n_transient: int = DEFAULT_TRANSIENT,
+    scan=None,
 ) -> np.ndarray:
     """Benettin estimates for a batch of initial conditions, shape (n, 3).
 
+    alpha and kappa are scalars or arrays of n per-trajectory values.
     The transient lets the tangent vector align with the most expanding
     direction before accumulation starts.  Trajectories run in chunks of
-    ``CHUNK_TRAJECTORIES``; each is independent, so a trajectory's
-    estimate does not depend on the batch it is run in.
+    ``CHUNK_TRAJECTORIES`` through ``scan`` (see ``_chunked``); each is
+    independent, so a trajectory's estimate does not depend on the batch
+    or chunk it is run in.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be at least 1, got {n_kicks}")
-    s = np.array(s0, dtype=float)
+    s = np.asarray(s0, dtype=float)
     lam = np.empty(s.shape[0])
-    for lo in range(0, s.shape[0], CHUNK_TRAJECTORIES):
-        x, y, z = s[lo : lo + CHUNK_TRAJECTORIES].T.copy()
+
+    def chunk(rows, sa, ca, kappa):
+        x, y, z = s[rows].T.copy()
         d = np.full((3, x.size), 1.0 / np.sqrt(3.0))
         scratch = np.empty((5, x.size))
         r, t = np.empty((2, x.size))
         acc = np.zeros(x.size)
         for n in range(max(n_transient, 0) + n_kicks):
-            _kick(x, y, z, alpha, kappa, scratch, d)
+            _kick(x, y, z, sa, ca, kappa, scratch, d)
             # |d| summed as (dx^2 + dy^2) + dz^2, the order of np.linalg.norm
             np.multiply(d[0], d[0], out=r)
             np.multiply(d[1], d[1], out=t)
@@ -197,7 +251,9 @@ def _lyapunov_batch(
                 np.log(r, out=t)
                 np.add(acc, t, out=acc)
             np.divide(d, r, out=d)
-        np.divide(acc, n_kicks, out=lam[lo : lo + CHUNK_TRAJECTORIES])
+        np.divide(acc, n_kicks, out=lam[rows])
+
+    _chunked(s.shape[0], scan, chunk, np.sin(alpha), np.cos(alpha), kappa)
     return lam
 
 
@@ -262,15 +318,32 @@ class AveragedLyapunov:
 
 
 def lyapunov_field(
-    params, grid_spec: GridSpec, n_kicks: int = 5000, n_transient: int = DEFAULT_TRANSIENT
-) -> LyapunovField:
-    """Largest Lyapunov exponent for every cell of a (phi, theta) grid."""
+    params,
+    grid_spec: GridSpec,
+    n_kicks: int = 5000,
+    n_transient: int = DEFAULT_TRANSIENT,
+    scan=None,
+):
+    """Largest Lyapunov exponent for every cell of a (phi, theta) grid.
+
+    ``params`` is one parameter set, giving one field, or a sequence of
+    them, run as one batch and giving a list of fields in its order.
+    ``scan`` runs the batch's chunks (see ``_chunked``).
+    """
+    points, single = _points(params)
     phi, theta = grid_spec.mesh()
     s0 = _unit_vectors(theta, phi)
-    lam = _lyapunov_batch(s0, params.alpha, params.kappa, n_kicks, n_transient)
-    return LyapunovField(
-        grid=lam.reshape(grid_spec.n_phi, grid_spec.n_theta), grid_spec=grid_spec
-    )
+    cells = s0.shape[0]
+    starts = s0 if len(points) == 1 else np.tile(s0, (len(points), 1))
+    lam = _lyapunov_batch(starts, *_per_trajectory(points, cells), n_kicks, n_transient, scan)
+    fields = [
+        LyapunovField(
+            grid=lam[i * cells : (i + 1) * cells].reshape(grid_spec.n_phi, grid_spec.n_theta),
+            grid_spec=grid_spec,
+        )
+        for i in range(len(points))
+    ]
+    return fields[0] if single else fields
 
 
 def haar_sphere(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -288,6 +361,13 @@ def rng_for_task(seed: int, task_index: int = 0) -> np.random.Generator:
     return default_rng(SeedSequence((int(seed), int(task_index))))
 
 
+def _haar_starts(n_samples: int, seed: int, task_index: int) -> np.ndarray:
+    """n_samples Haar-uniform initial conditions from the (seed, task_index) substream."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
+    return _unit_vectors(*haar_sphere(n_samples, rng_for_task(seed, task_index)))
+
+
 def averaged_lyapunov(
     params,
     n_samples: int = 5000,
@@ -295,34 +375,40 @@ def averaged_lyapunov(
     seed: int = 0,
     n_transient: int = DEFAULT_TRANSIENT,
     task_index: int = 0,
-) -> AveragedLyapunov:
+    scan=None,
+):
     """Monte-Carlo phase-space average of the largest Lyapunov exponent.
 
     Initial conditions are Haar-uniform on the sphere (the dS = sin
     theta dtheta dphi measure), drawn from the (seed, task_index)
     substream, so scans are reproducible regardless of scheduling.
+    ``params`` may be a sequence of parameter sets: they run as one
+    batch, point i drawing from the (seed, task_index + i) substream,
+    and the result is a list in their order, each mean and standard
+    error taken over the point's own samples.  ``scan`` runs the
+    batch's chunks (see ``_chunked``).
     """
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
-    theta, phi = haar_sphere(n_samples, rng_for_task(seed, task_index))
-    s0 = _unit_vectors(theta, phi)
-    lam = _lyapunov_batch(s0, params.alpha, params.kappa, n_kicks, n_transient)
-    return AveragedLyapunov(
-        mean=float(lam.mean()),
-        stderr=float(lam.std(ddof=1) / np.sqrt(n_samples)),
-        n_samples=n_samples,
-    )
+    points, single = _points(params)
+    s0 = np.concatenate([_haar_starts(n_samples, seed, task_index + i) for i in range(len(points))])
+    lam = _lyapunov_batch(s0, *_per_trajectory(points, n_samples), n_kicks, n_transient, scan)
+    averages = []
+    for lo in range(0, lam.size, n_samples):
+        part = lam[lo : lo + n_samples]
+        stderr = float(part.std(ddof=1) / np.sqrt(n_samples))
+        averages.append(AveragedLyapunov(mean=float(part.mean()), stderr=stderr, n_samples=n_samples))
+    return averages[0] if single else averages
 
 
 def kappa_threshold(
-    alpha: float,
+    alpha,
     threshold: float = 0.002,
     resolution: float = 0.05,
     kappa_max: float = 10.0,
     n_samples: int = 2000,
     n_kicks: int = 5000,
     seed: int = 0,
-) -> float:
+    scan=None,
+):
     """Chaos-onset kick strength: smallest kappa with lambda-bar = threshold.
 
     Bisection of the Monte-Carlo average over kappa in [0, kappa_max];
@@ -332,53 +418,92 @@ def kappa_threshold(
     like ln(n)/n, sits below the threshold; 5000 kicks clears 0.002.
     When every tested kappa reads lambda-bar >= threshold, the result is
     only the bisection floor and a RuntimeWarning says so.
+
+    ``alpha`` may be a sequence of angles, giving a list: they are
+    bisected in lockstep, one batch per level over the angles whose
+    interval is still wider than ``resolution``, and each keeps its own
+    interval, warning and error (the first angle without a crossing, in
+    input order, raises).  Every average draws the same samples, from
+    the (seed, 0) substream.  ``scan`` runs each batch's chunks (see
+    ``_chunked``).
     """
+    single = np.ndim(alpha) == 0
+    alphas = [float(a) for a in np.atleast_1d(alpha)]
+    s0 = _haar_starts(n_samples, seed, 0)
 
-    def mean_lyap(kappa: float) -> float:
-        p = KickedTopParams(alpha=alpha, kappa=kappa, j=1)
-        return averaged_lyapunov(p, n_samples=n_samples, n_kicks=n_kicks, seed=seed).mean
+    def means(indices, kappas) -> list[float]:
+        points = [KickedTopParams(alpha=alphas[i], kappa=k, j=1) for i, k in zip(indices, kappas)]
+        starts = np.tile(s0, (len(points), 1))
+        lam = _lyapunov_batch(starts, *_per_trajectory(points, n_samples), n_kicks, scan=scan)
+        return [float(lam[i : i + n_samples].mean()) for i in range(0, lam.size, n_samples)]
 
-    hi = kappa_max
-    if mean_lyap(hi) < threshold:
-        raise ValueError(
-            f"lambda-bar never reaches {threshold} for kappa <= {kappa_max} at alpha={alpha}"
-        )
-    lo = 0.0
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if mean_lyap(mid) >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    if lo == 0.0:
-        warnings.warn(
-            f"kappa_c at alpha={alpha} is the bisection floor {0.5 * hi}: lambda-bar >= {threshold} "
-            f"at every tested kappa with n_kicks={n_kicks}; regular orbits need about 5000 kicks "
-            "for their Benettin estimate to fall below the threshold",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return 0.5 * (lo + hi)
+    lo, hi = [0.0] * len(alphas), [kappa_max] * len(alphas)
+    for a, top in zip(alphas, means(range(len(alphas)), hi)):
+        if top < threshold:
+            raise ValueError(
+                f"lambda-bar never reaches {threshold} for kappa <= {kappa_max} at alpha={a}"
+            )
+    while open_ := [i for i in range(len(alphas)) if hi[i] - lo[i] > resolution]:
+        mids = [0.5 * (lo[i] + hi[i]) for i in open_]
+        for i, mid, mean in zip(open_, mids, means(open_, mids)):
+            if mean >= threshold:
+                hi[i] = mid
+            else:
+                lo[i] = mid
+    for a, low, high in zip(alphas, lo, hi):
+        if low == 0.0:
+            warnings.warn(
+                f"kappa_c at alpha={a} is the bisection floor {0.5 * high}: lambda-bar >= "
+                f"{threshold} at every tested kappa with n_kicks={n_kicks}; regular orbits need "
+                "about 5000 kicks for their Benettin estimate to fall below the threshold",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    kappa_c = [0.5 * (low + high) for low, high in zip(lo, hi)]
+    return kappa_c[0] if single else kappa_c
 
 
-def phase_portrait(
-    params, n_orbits: int = 289, n_kicks: int = 300, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def phase_portrait(params, n_orbits: int = 289, n_kicks: int = 300, seed: int = 0, scan=None):
     """Stroboscopic (phi, theta) points of random orbits.
 
     Returns flat arrays (phi, theta, orbit_id) with n_orbits*(n_kicks+1)
-    entries, including the initial points.  Defaults match the standard
-    portrait recipe of 289 random initial conditions over 300 kicks.
+    entries, orbit-major, including the initial points.  Defaults match
+    the standard portrait recipe of 289 random initial conditions over
+    300 kicks.  ``params`` may be a sequence of parameter sets: each
+    starts from the same n_orbits points, all orbits run as one batch,
+    and the result is a list of such triples in its order.  ``scan``
+    runs the batch's chunks (see ``_chunked``).
+
+    The points of ``RECORD_KICKS`` kicks are kept as (x, y, z) and turned
+    into angles together, one block of the orbit-major outputs at a time.
     """
+    points, single = _points(params)
     theta0, phi0 = haar_sphere(n_orbits, rng_for_task(seed))
-    x, y, z = _unit_vectors(theta0, phi0).T.copy()
-    scratch = np.empty((5, n_orbits))
-    phis = np.empty((n_orbits, n_kicks + 1))
-    thetas = np.empty((n_orbits, n_kicks + 1))
-    for n in range(n_kicks + 1):
-        phis[:, n] = np.arctan2(y, x) % (2 * np.pi)
-        thetas[:, n] = np.arccos(np.clip(z, -1.0, 1.0))
-        if n < n_kicks:
-            _kick(x, y, z, params.alpha, params.kappa, scratch)
+    s0 = np.tile(_unit_vectors(theta0, phi0), (len(points), 1))
+    alpha, kappa = _per_trajectory(points, n_orbits)
+    phis = np.empty((s0.shape[0], n_kicks + 1))
+    thetas = np.empty((s0.shape[0], n_kicks + 1))
+
+    def chunk(rows, sa, ca, kappa):
+        s = s0[rows].T.copy()
+        scratch = np.empty((5, s.shape[1]))
+        record = np.empty((3, RECORD_KICKS, s.shape[1]))
+        for first in range(0, n_kicks + 1, RECORD_KICKS):
+            size = min(RECORD_KICKS, n_kicks + 1 - first)
+            for i in range(size):
+                record[:, i] = s
+                if first + i < n_kicks:
+                    _kick(*s, sa, ca, kappa, scratch)
+            x, y, z = record[:, :size]
+            phis[rows, first : first + size] = (np.arctan2(y, x) % (2 * np.pi)).T
+            thetas[rows, first : first + size] = np.arccos(np.clip(z, -1.0, 1.0)).T
+
+    _chunked(s0.shape[0], scan, chunk, np.sin(alpha), np.cos(alpha), kappa)
     orbit_id = np.repeat(np.arange(n_orbits), n_kicks + 1)
-    return phis.ravel(), thetas.ravel(), orbit_id
+    portraits = [
+        (phis[i * n_orbits : (i + 1) * n_orbits].ravel(),
+         thetas[i * n_orbits : (i + 1) * n_orbits].ravel(),
+         orbit_id)
+        for i in range(len(points))
+    ]
+    return portraits[0] if single else portraits

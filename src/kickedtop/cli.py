@@ -8,8 +8,10 @@ Common flags: --j, --kappa (value, comma list, or start:stop:step),
 
 Every subcommand builds its parameter points up front (``Run.grid``)
 and computes them through one driver, ``Run.scan``, on --threads
-threads.  A point's task index is its position and seeds its random
-substream, so CSVs do not depend on the thread count.
+threads; the classical recipes run all their points as one batch of
+trajectories, whose chunks go through ``Run.scan``.  A point's task
+index is its position and seeds its random substream, so CSVs do not
+depend on the thread count.
 
 Option precedence: command-line flags beat the config file, which beats
 the built-in defaults copied from the standard figure recipes.  The
@@ -237,9 +239,10 @@ class Run:
             raise UsageError(str(exc)) from exc
 
     def scan(self, compute, points) -> list:
-        """``compute(task_index, point)`` for every point, in point order, on
-        ``--threads`` threads.  task_index is the point's position.  When a
-        task fails, the tasks still queued are cancelled."""
+        """``compute(task_index, point)`` for every point (or chunk of a
+        classical batch), in order, on ``--threads`` threads.  task_index
+        is the point's position.  When a task fails, the tasks still queued
+        are cancelled."""
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             return list(pool.map(compute, range(len(points)), points))
 
@@ -309,11 +312,9 @@ def cmd_portrait(args) -> int:
     points = run.grid(run.kappas(), [run.opt("j", 1, int)])  # classical map: j only recorded
     _check_file_names(points)
 
-    def one(_, p):
-        phi, theta, orbit = phase_portrait(p, n_orbits=orbits, n_kicks=kicks, seed=run.seed)
-        return {"phi": phi, "theta": theta, "orbit_id": orbit}
-
-    run.emit_each("portrait", points, run.scan(one, points))
+    portraits = phase_portrait(points, n_orbits=orbits, n_kicks=kicks, seed=run.seed, scan=run.scan)
+    tables = [{"phi": phi, "theta": theta, "orbit_id": orbit} for phi, theta, orbit in portraits]
+    run.emit_each("portrait", points, tables)
     return run.finish()
 
 
@@ -332,11 +333,9 @@ def cmd_lyapunov(args) -> int:
         points = run.grid(run.kappas(), [j])
         _check_file_names(points)
 
-        def field(_, p):
-            lam = lyapunov_field(p, spec, n_kicks=kicks).grid.ravel()
-            return {"phi": phi, "theta": theta, "lambda": lam}
-
-        run.emit_each("lyapunov_field", points, run.scan(field, points))
+        fields = lyapunov_field(points, spec, n_kicks=kicks, scan=run.scan)
+        tables = [{"phi": phi, "theta": theta, "lambda": f.grid.ravel()} for f in fields]
+        run.emit_each("lyapunov_field", points, tables)
     elif mode == "scan":
         kappas = run.kappas("0:10:0.5")
         alphas = parse_values(str(run.opt("alpha-grid", "0.1:6.2:0.2", str)))
@@ -347,19 +346,12 @@ def cmd_lyapunov(args) -> int:
             raise UsageError("--kappa-c needs an alpha at least 0.05 away from 0, pi and 2pi")
         points = run.grid(kappas, [j], alphas)
 
-        def one(idx, p):
-            avg = averaged_lyapunov(
-                p, n_samples=samples, n_kicks=kicks, seed=run.seed, task_index=idx
-            )
-            return p.kappa, p.alpha, avg.mean, avg.stderr
-
-        header = ("kappa", "alpha", "lambda_bar", "stderr")
-        run.emit_rows("lyapunov_scan.csv", header, run.scan(one, points))
+        # point i draws its samples from the (seed, i) substream
+        avgs = averaged_lyapunov(points, n_samples=samples, n_kicks=kicks, seed=run.seed, scan=run.scan)
+        rows = [(p.kappa, p.alpha, avg.mean, avg.stderr) for p, avg in zip(points, avgs)]
+        run.emit_rows("lyapunov_scan.csv", ("kappa", "alpha", "lambda_bar", "stderr"), rows)
         if run.pick("kappa-c", False):
-            kc = run.scan(
-                lambda _, a: kappa_threshold(a, n_samples=samples, n_kicks=kicks, seed=run.seed),
-                kc_alphas,
-            )
+            kc = kappa_threshold(kc_alphas, n_samples=samples, n_kicks=kicks, seed=run.seed, scan=run.scan)
             run.emit_rows("kappa_c.csv", ("alpha", "kappa_c"), list(zip(kc_alphas, kc)))
     else:
         raise UsageError(f"unknown lyapunov mode {mode!r} (expected field or scan)")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lgamma
+from math import floor, lgamma
 
 import numpy as np
 
@@ -147,15 +147,30 @@ def _check_nu(nu):
         raise ValueError(f"nu must be one of 1, 2, 4, got {nu}")
 
 
+def _sorted_percentile(y: np.ndarray, q: float):
+    """``np.percentile(y, q)`` of ascending y without its copy of y.
+
+    The arithmetic is numpy's default ('linear') method step for step:
+    virtual index (n - 1) * q/100, its floor and the next index (both
+    -1, the top entry, at or past it), and numpy's ``_lerp``, which
+    interpolates from the upper end once the weight reaches 0.5.
+    """
+    v = (y.size - 1) * (q / 100)
+    lo = floor(v) if v < y.size - 1 else -1
+    hi = lo + 1 if lo >= 0 else -1
+    a, b, t = y[lo], y[hi], v - lo
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def _fd_log_edges(y: np.ndarray) -> np.ndarray:
-    """Freedman-Diaconis bin edges for ln-x data y."""
-    q75, q25 = np.percentile(y, [75, 25])
-    iqr = q75 - q25
+    """Freedman-Diaconis bin edges for ascending ln-x data y."""
+    iqr = _sorted_percentile(y, 75) - _sorted_percentile(y, 25)
     if iqr == 0:
         raise ValueError("degenerate pool: zero interquartile range")
     width = 2.0 * iqr / y.size ** (1.0 / 3.0)
-    n_bins = int(np.clip(np.ceil((y.max() - y.min()) / width), 10, 2000))
-    return np.linspace(y.min(), y.max(), n_bins + 1)
+    n_bins = int(np.clip(np.ceil((y[-1] - y[0]) / width), 10, 2000))
+    return np.linspace(y[0], y[-1], n_bins + 1)
 
 
 def empirical_log_histogram(pool: RescaledCoefficients, bins=50) -> LogHistogram:

@@ -10,6 +10,10 @@ A table of at least ``_MIN_ROWS`` rows whose columns are all 1-D float
 (up to float64) or integer arrays is written in blocks of
 ``_BLOCK_ROWS`` rows, each block laid out as bytes by numpy kernels and
 written at once; its bytes equal the per-cell ``repr``/``str`` text.
+Each column's kernel first finds its cell width, then writes its cells
+straight into their columns of one preallocated (rows x line width)
+byte matrix and validity mask, beside the separators; one boolean
+gather per block turns the matrix into the rows.
 Integers are cut into digits by repeated integer division.  A float
 x with 1e-4 <= |x| < 1e15 gets ``repr``'s digits in positional layout:
 x * 10^s, with s giving 17 significant digits, is formed exactly as a
@@ -190,32 +194,31 @@ def _put_digits(out, v):
         v = q
 
 
-def _leading(v, w, table):
-    """Thresholds that mark the digits of v in a right-aligned width w."""
-    thr = table[w - 1 :: -1].copy()
+def _leading(out, v, table):
+    """Mark in the bool columns of ``out`` the digits of v, right-aligned."""
+    thr = table[out.shape[1] - 1 :: -1].copy()
     thr[-1] = 0
-    return v[:, None] >= thr
+    np.greater_equal(v[:, None], thr, out=out)
 
 
-def _with_texts(chars, valid, idx, texts):
-    """Overwrite the rows ``idx`` of a cell matrix with ``texts``."""
-    if not len(idx):
-        return chars, valid
-    t = np.array([s.encode() for s in texts], dtype="S").view(np.uint8).reshape(len(idx), -1)
-    w = t.shape[1]
-    if w > chars.shape[1]:
-        pad = w - chars.shape[1]
-        chars = np.concatenate([chars, np.zeros((chars.shape[0], pad), np.uint8)], axis=1)
-        valid = np.concatenate([valid, np.zeros((valid.shape[0], pad), bool)], axis=1)
-    chars[idx, :w] = t
-    valid[idx] = False
-    valid[idx, :w] = t != 0
-    return chars, valid
+def _texts(texts) -> np.ndarray:
+    """ASCII cell texts as the rows of a NUL-padded uint8 matrix."""
+    t = np.array([s.encode() for s in texts], dtype="S")
+    return t.view(np.uint8).reshape(t.size, t.itemsize)
+
+
+def _put_texts(chars, valid, idx, t):
+    """Overwrite the rows ``idx`` of a cell matrix with the texts ``t``."""
+    if len(idx):
+        chars[idx, : t.shape[1]] = t
+        valid[idx] = False
+        valid[idx, : t.shape[1]] = t != 0
 
 
 def _float_cells(x):
-    """(chars, valid): the repr text of float64 cells, as the bytes of
-    ``chars`` where ``valid`` is set, row by row."""
+    """(width, write): the repr text of float64 cells x is laid out by
+    ``write(chars, valid)`` into (cells x width) uint8 and bool views,
+    as the bytes of ``chars`` where ``valid`` is set, row by row."""
     ax = np.abs(x)
     fast = (ax >= _FIXED_LO) & (ax < _FIXED_HI) & ((x.view(np.uint64) & _MANTISSA) != 0)
     D, s, slow = _shortest(np.where(fast, ax, _FILLER))
@@ -224,50 +227,62 @@ def _float_cells(x):
     fp = D - ip * scale
     wi = len(str(int(ip.max(initial=0))))
     wf = max(int(s.max(initial=0)), 1)
-    chars = np.empty((x.size, wi + wf + 2), dtype=np.uint8)
-    valid = np.empty(chars.shape, dtype=bool)
-    chars[:, 0] = ord("-")
-    valid[:, 0] = x < 0
-    _put_digits(chars[:, 1 : wi + 1], ip)
-    valid[:, 1 : wi + 1] = _leading(ip, wi, _POW10_INT)
-    chars[:, wi + 1] = ord(".")
-    valid[:, wi + 1] = True
-    _put_digits(chars[:, wi + 2 :], fp)
-    thr = np.arange(wf, 0, -1)
-    thr[-1] = 0  # "x.0" for s = 0
-    valid[:, wi + 2 :] = s[:, None] >= thr
     back = np.flatnonzero(~fast | slow)
-    return _with_texts(chars, valid, back, map(repr, x[back].tolist()))
+    texts = _texts(map(repr, x[back].tolist()))
+
+    def write(chars, valid):
+        chars[:, 0] = ord("-")
+        valid[:, 0] = x < 0
+        _put_digits(chars[:, 1 : wi + 1], ip)
+        _leading(valid[:, 1 : wi + 1], ip, _POW10_INT)
+        chars[:, wi + 1] = ord(".")
+        valid[:, wi + 1] = True
+        _put_digits(chars[:, wi + 2 : wi + wf + 2], fp)
+        thr = np.arange(wf, 0, -1)
+        thr[-1] = 0  # "x.0" for s = 0
+        # row k of the table marks k fraction digits; a row gather is
+        # cheaper than comparing every cell with its threshold
+        valid[:, wi + 2 : wi + wf + 2] = (np.arange(wf + 1)[:, None] >= thr).take(s, axis=0)
+        valid[:, wi + wf + 2 :] = False
+        _put_texts(chars, valid, back, texts)
+
+    return max(wi + wf + 2, texts.shape[1]), write
 
 
 def _int_cells(v):
-    """(chars, valid) of the str text of int64 or uint64 cells."""
+    """(width, write) of the str text of int64 or uint64 cells, as
+    ``_float_cells`` gives them."""
     if v.dtype == np.uint64 and v.size and v.max() > np.iinfo(np.int64).max:
-        return _with_texts(np.empty((v.size, 0), np.uint8), np.empty((v.size, 0), bool),
-                           np.arange(v.size), map(str, v.tolist()))
+        texts = _texts(map(str, v.tolist()))
+        return texts.shape[1], lambda chars, valid: _put_texts(chars, valid, np.arange(v.size), texts)
     v = v.astype(np.int64)
     mag = v.view(np.uint64).copy()
     np.negative(mag, out=mag, where=v < 0)  # |v| modulo 2^64, right for -2^63 too
     w = len(str(int(mag.max(initial=0))))
-    chars = np.empty((v.size, w + 1), dtype=np.uint8)
-    valid = np.empty(chars.shape, dtype=bool)
-    chars[:, 0] = ord("-")
-    valid[:, 0] = v < 0
-    _put_digits(chars[:, 1:], mag)
-    valid[:, 1:] = _leading(mag, w, _POW10_UINT)
-    return chars, valid
+
+    def write(chars, valid):
+        chars[:, 0] = ord("-")
+        valid[:, 0] = v < 0
+        _put_digits(chars[:, 1:], mag)
+        _leading(valid[:, 1:], mag, _POW10_UINT)
+
+    return w + 1, write
 
 
 def _block_bytes(arrays) -> bytes:
-    """The CSV data rows of equal-length numeric column blocks."""
-    n = arrays[0].shape[0]
-    parts = []
-    for a in arrays:
-        cells = _float_cells(a.astype(np.float64)) if a.dtype.kind == "f" else _int_cells(a)
-        parts += [cells, (np.full((n, 1), ord(","), np.uint8), np.ones((n, 1), bool))]
-    parts[-1][0][:] = ord("\n")
-    chars = np.concatenate([c for c, _ in parts], axis=1)
-    valid = np.concatenate([v for _, v in parts], axis=1)
+    """The CSV data rows of equal-length numeric column blocks: every
+    column's cells, each followed by its separator, are written into one
+    (rows x line width) matrix and gathered once."""
+    cells = [_float_cells(a.astype(np.float64)) if a.dtype.kind == "f" else _int_cells(a) for a in arrays]
+    chars = np.empty((arrays[0].shape[0], sum(w + 1 for w, _ in cells)), dtype=np.uint8)
+    valid = np.empty(chars.shape, dtype=bool)
+    col = 0
+    for w, write in cells:
+        write(chars[:, col : col + w], valid[:, col : col + w])
+        chars[:, col + w] = ord(",")
+        valid[:, col + w] = True
+        col += w + 1
+    chars[:, -1] = ord("\n")
     return chars[valid].tobytes()
 
 

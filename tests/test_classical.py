@@ -1,7 +1,11 @@
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from kickedtop import classical
@@ -322,3 +326,195 @@ def test_state_angle_round_trip():
     state = ClassicalState.from_angles(1.2, 4.5)
     phi, theta = state.angles
     assert abs(theta - 1.2) < 1e-12 and abs(phi - 4.5) < 1e-12
+
+
+# ---------------------------------------------------------------- batched kernel
+
+KAPPAS = st.one_of(st.sampled_from([0.0, 1e-9, 3.0, 7.0]), st.floats(0.0, 12.0))
+ALPHAS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-9, np.pi - 1e-9, np.nextafter(np.pi, 0), np.pi,
+                     np.nextafter(np.pi, 4), np.pi + 1e-9, 2 * np.pi - 1e-9]),
+    st.floats(0.0, 2 * np.pi, exclude_max=True),
+)
+
+
+def reverse_scan(compute, items):
+    # runs the chunks last first, as a thread pool may
+    done = {i: compute(i, item) for i, item in reversed(list(enumerate(items)))}
+    return [done[i] for i in range(len(items))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(ALPHAS, KAPPAS), min_size=1, max_size=5), st.integers(1, 4))
+def test_per_trajectory_parameters_match_per_point_calls(pairs, per_point):
+    s0 = random_unit_vectors(per_point, seed=len(pairs))
+    alpha = np.repeat([a for a, _ in pairs], per_point)
+    kappa = np.repeat([k for _, k in pairs], per_point)
+    batch = _lyapunov_batch(np.tile(s0, (len(pairs), 1)), alpha, kappa, 30, 5, scan=reverse_scan)
+    single = np.concatenate([_lyapunov_batch(s0, a, k, 30, 5) for a, k in pairs])
+    assert np.array_equal(batch, single)
+
+
+def test_chunks_on_more_threads_than_cores(monkeypatch):
+    # each chunk writes only its own rows of the shared outputs
+    monkeypatch.setattr(classical, "CHUNK_TRAJECTORIES", 7)
+    points = [params(a, k) for a, k in ((ALPHA, 2.0), (1.0, 3.0), (np.pi / 2, 7.0))]
+    serial = (averaged_lyapunov(points, n_samples=20, n_kicks=60, seed=1),
+              phase_portrait(points, n_orbits=20, n_kicks=40, seed=1))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+
+            def scan(compute, items):
+                return list(pool.map(compute, range(len(items)), items, timeout=120))
+
+            threaded = (averaged_lyapunov(points, n_samples=20, n_kicks=60, seed=1, scan=scan),
+                        phase_portrait(points, n_orbits=20, n_kicks=40, seed=1, scan=scan))
+    finally:
+        sys.setswitchinterval(switch)
+    assert threaded[0] == serial[0]
+    for a, b in zip(threaded[1], serial[1]):
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_batched_recipes_independent_of_chunk_size(monkeypatch, chunk):
+    points = [params(a, k) for a, k in ((ALPHA, 0.0), (1.0, 3.0), (np.pi, 7.0), (2.5, 3.0))]
+    spec = GridSpec(n_phi=3, n_theta=4)
+    runs = []
+    for size in (classical.CHUNK_TRAJECTORIES, chunk):
+        monkeypatch.setattr(classical, "CHUNK_TRAJECTORIES", size)
+        runs.append((
+            averaged_lyapunov(points, n_samples=5, n_kicks=40, seed=3, n_transient=10),
+            [f.grid for f in lyapunov_field(points, spec, n_kicks=40, n_transient=10)],
+            phase_portrait(points, n_orbits=5, n_kicks=12, seed=3, scan=reverse_scan),
+        ))
+    (avg0, fields0, portraits0), (avg1, fields1, portraits1) = runs
+    assert avg0 == avg1
+    assert all(np.array_equal(a, b) for a, b in zip(fields0, fields1))
+    for a, b in zip(portraits0, portraits1):
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+def test_batched_recipes_match_one_point_calls():
+    points = [params(a, k) for a, k in ((ALPHA, 0.0), (1e-9, 3.0), (np.pi, 7.0), (ALPHA, 7.0))]
+    avgs = averaged_lyapunov(points, n_samples=6, n_kicks=50, seed=2, task_index=4)
+    assert avgs == [
+        averaged_lyapunov(p, n_samples=6, n_kicks=50, seed=2, task_index=4 + i)
+        for i, p in enumerate(points)
+    ]
+    spec = GridSpec(n_phi=4, n_theta=3)
+    fields = lyapunov_field(points, spec, n_kicks=50)
+    for f, p in zip(fields, points):
+        assert f.grid_spec == spec
+        assert np.array_equal(f.grid, lyapunov_field(p, spec, n_kicks=50).grid)
+    for got, p in zip(phase_portrait(points, n_orbits=4, n_kicks=9, seed=5), points):
+        want = phase_portrait(p, n_orbits=4, n_kicks=9, seed=5)
+        assert all(np.array_equal(u, v) for u, v in zip(got, want))
+
+
+def per_kick_portrait(p, n_orbits, n_kicks, seed):
+    # the angles taken after every kick, one column of the outputs at a time
+    theta0, phi0 = haar_sphere(n_orbits, rng_for_task(seed))
+    x, y, z = classical._unit_vectors(theta0, phi0).T.copy()
+    scratch = np.empty((5, n_orbits))
+    phis = np.empty((n_orbits, n_kicks + 1))
+    thetas = np.empty((n_orbits, n_kicks + 1))
+    for n in range(n_kicks + 1):
+        phis[:, n] = np.arctan2(y, x) % (2 * np.pi)
+        thetas[:, n] = np.arccos(np.clip(z, -1.0, 1.0))
+        if n < n_kicks:
+            classical._kick(x, y, z, np.sin(p.alpha), np.cos(p.alpha), p.kappa, scratch)
+    return phis.ravel(), thetas.ravel(), np.repeat(np.arange(n_orbits), n_kicks + 1)
+
+
+@pytest.mark.parametrize("n_kicks", [0, 1, 31, 32, 33, 300])
+def test_blocked_portrait_matches_per_kick_recording(n_kicks):
+    assert classical.RECORD_KICKS == 32
+    points = [params(0.0, 5.0), params(kappa=0.0), params(kappa=3.0), params(np.pi, 7.0)]
+    portraits = phase_portrait(points, n_orbits=9, n_kicks=n_kicks, seed=6)
+    for got, p in zip(portraits, points):
+        want = per_kick_portrait(p, 9, n_kicks, 6)
+        assert all(np.array_equal(u, v) for u, v in zip(got, want))
+    single = phase_portrait(points[2], n_orbits=9, n_kicks=n_kicks, seed=6)
+    assert all(np.array_equal(u, v) for u, v in zip(single, per_kick_portrait(points[2], 9, n_kicks, 6)))
+
+
+def bisect_one_alpha(alpha, threshold, n_samples, n_kicks, seed, resolution=0.05, kappa_max=10.0):
+    """The per-alpha bisection: (kappa_c, stayed at the floor)."""
+
+    def mean(kappa):
+        p = KickedTopParams(alpha=alpha, kappa=kappa, j=1)
+        return averaged_lyapunov(p, n_samples=n_samples, n_kicks=n_kicks, seed=seed).mean
+
+    if mean(kappa_max) < threshold:
+        raise ValueError(f"no crossing at alpha={alpha}")
+    lo, hi = 0.0, kappa_max
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if mean(mid) >= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), lo == 0.0
+
+
+@pytest.mark.parametrize(
+    "threshold, n_kicks, resolution, kappa_max",
+    [(0.05, 300, 0.05, 10.0), (0.002, 400, 0.05, 10.0), (0.05, 300, 0.3, 10.0),
+     (0.05, 300, 0.07, 9.7), (0.02, 300, 0.01, 0.3 * 29)],
+)
+def test_lockstep_kappa_threshold_matches_per_alpha_bisection(threshold, n_kicks, resolution, kappa_max):
+    alphas = [1.0, np.pi / 2, 2.2, 0.9, 4.0]
+    kwargs = dict(threshold=threshold, n_samples=30, n_kicks=n_kicks, seed=4, resolution=resolution,
+                  kappa_max=kappa_max)
+    expected = [bisect_one_alpha(a, threshold, 30, n_kicks, 4, resolution, kappa_max) for a in alphas]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = kappa_threshold(alphas, scan=reverse_scan, **kwargs)
+    assert got == [kc for kc, _ in expected]
+    floored = [a for a, (_, floor) in zip(alphas, expected) if floor]
+    assert [w.category for w in caught] == [RuntimeWarning] * len(floored)
+    for w, a in zip(caught, floored):
+        assert f"alpha={a} is the bisection floor" in str(w.message)
+    # one angle alone gives a float, the same as its entry in the lockstep list
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert kappa_threshold(alphas[1], **kwargs) == got[1]
+
+
+def test_lockstep_kappa_threshold_has_mixed_floors():
+    # the last tested kappa is 10/256; there these angles read 3.285e-3, 3.236e-3,
+    # 3.184e-3 and 3.271e-3, so alpha = 0.9 and 2.2 stay at the floor and the others resolve
+    alphas = [0.9, 0.1, 3.0, 2.2]
+    expected = [bisect_one_alpha(a, 0.00326, 30, 300, 1) for a in alphas]
+    assert [floor for _, floor in expected] == [True, False, False, True]
+    with pytest.warns(RuntimeWarning) as caught:
+        got = kappa_threshold(alphas, threshold=0.00326, n_samples=30, n_kicks=300, seed=1)
+    assert [str(w.message).split(" is ")[0] for w in caught] == [
+        "kappa_c at alpha=0.9", "kappa_c at alpha=2.2"
+    ]
+    assert got == [kc for kc, _ in expected]
+
+
+def test_lockstep_kappa_threshold_stops_each_alpha_on_its_own_interval():
+    # from kappa_max = 3.1 the halved intervals round differently: after two levels
+    # alpha = 2.5 spans 0.7749999999999999 and alpha = 0.9 and 2.2 span
+    # 0.7750000000000001, so at this resolution alpha = 2.5 stops a level earlier
+    kwargs = dict(threshold=0.05, n_samples=30, n_kicks=300, seed=4, resolution=0.7749999999999999,
+                  kappa_max=3.1)
+    alphas = [2.5, 0.9, 2.2]
+    expected = [bisect_one_alpha(a, 0.05, 30, 300, 4, 0.7749999999999999, 3.1) for a in alphas]
+    assert kappa_threshold(alphas, **kwargs) == [kc for kc, _ in expected]
+
+
+def test_lockstep_kappa_threshold_first_alpha_without_crossing_raises():
+    kwargs = dict(threshold=0.5, n_samples=30, n_kicks=300, seed=0)
+    for alphas, culprit in (([1.0, 0.0], 0.0), ([1.0, np.pi, 0.0], np.pi), ([0.0, np.pi], 0.0)):
+        for a in alphas:
+            if a == culprit:
+                with pytest.raises(ValueError):
+                    bisect_one_alpha(a, 0.5, 30, 300, 0)
+        with pytest.raises(ValueError, match=f"at alpha={culprit}$"):
+            kappa_threshold(alphas, **kwargs)

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import erf
 
+from kickedtop import coeffstats
 from kickedtop.coeffstats import (
     RescaledCoefficients,
     chisq_cdf,
@@ -197,3 +198,24 @@ def test_distance_nonnegative_and_metadata():
 def test_degenerate_pool_rejected():
     with pytest.raises(ValueError):
         distance_report(RescaledCoefficients(x=np.full(100, 2.0), mean_x=2.0), nu=2)
+
+
+def quartile_bits(y):
+    return np.array([coeffstats._sorted_percentile(y, 75), coeffstats._sorted_percentile(y, 25)]).view(np.uint64)
+
+
+def test_sorted_quartiles_equal_np_percentile_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n in range(1, 65):
+        for y in (
+            rng.standard_normal(n),
+            rng.integers(-3, 3, n).astype(float),  # ties
+            np.log(rng.exponential(size=n)),
+            rng.choice([0.0, 1e-300, -1e300, 5.0, -2.5], n),  # ties at extreme values
+        ):
+            y = np.sort(y)
+            assert np.array_equal(quartile_bits(y), np.percentile(y, [75, 25]).view(np.uint64)), y
+    pool = pool_rescaled(rng.dirichlet(np.ones(100), size=10_000))
+    y = pool.log_positive
+    assert y.size == 10**6
+    assert np.array_equal(quartile_bits(y), np.percentile(y, [75, 25]).view(np.uint64))
