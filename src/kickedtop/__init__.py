@@ -10,13 +10,10 @@ __version__ = "0.1.0"
 
 from .classical import (
     AveragedLyapunov,
-    ClassicalState,
     GridSpec,
     LyapunovField,
     averaged_lyapunov,
-    classical_step,
     kappa_threshold,
-    lyapunov_exponent,
     lyapunov_field,
     phase_portrait,
 )
@@ -39,14 +36,12 @@ from .floquet import (
 )
 from .multifractal import (
     DqField,
-    ExpansionCoefficients,
     MultifractalResult,
     ScalingFit,
     averaged_dq,
     coherent_weights,
     dq_field,
-    expand_in_floquet_basis,
-    fractal_dimensions,
+    renyi_dimensions,
     scaling_fit,
 )
 from .spectral import (
@@ -58,4 +53,4 @@ from .spectral import (
     ratio_stats,
     spacings_from_quasienergies,
 )
-from .spin import CoherentState, SpinBasis, angular_momentum, coherent_state
+from .spin import SpinBasis, angular_momentum, coherent_state_matrix

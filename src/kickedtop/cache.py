@@ -27,14 +27,14 @@ so a file holds 8n^2 + 8n + 60 bytes.  The row phases diag K^(1/2)
 follow from (j, kappa) and are not stored.  The header keeps O 8-byte
 aligned, so a loaded file is used in place without copying.  Files of
 formats 1-3 (format 3 held the mirrored N x N matrix of both sectors),
-files whose header names other parameters or the other sector, and
-files with a bad checksum are misses and get recomputed.  Writing a
-sector file removes the format-3 file ``eig_<key>.ktc`` of the same
-parameters, which no reader uses any more.  Files are
-written to a temporary name in the same directory and renamed into
-place, so a reader never sees a partial file.  Files are named by the
-first 16 hex digits of the SHA-256 of the parameter triple and the
-sector, so a parameter mismatch simply misses the cache.
+files whose header names other parameters, the other sector or a
+half-integer j, and files with a bad checksum are misses and get
+recomputed.  Format-3 files, named ``eig_<key>.ktc``, are left as they
+are: no reader opens them.  Files are written to a temporary name in
+the same directory and renamed into place, so a reader never sees a
+partial file.  Files are named by the first 16 hex digits of the
+SHA-256 of the parameter triple and the sector, so a parameter
+mismatch simply misses the cache.
 """
 
 from __future__ import annotations
@@ -79,15 +79,8 @@ def cache_path(cache_dir, params: KickedTopParams, sector: str) -> Path:
     return Path(cache_dir) / f"eig_{cache_key(params)}_{sector}.ktc"
 
 
-def _format3_path(cache_dir, params: KickedTopParams) -> Path:
-    """Where format 3 kept both sectors of these parameters in one file."""
-    return Path(cache_dir) / f"eig_{cache_key(params)}.ktc"
-
-
 def save_eigensystem(path, eig: FloquetEigensystem, sector: str) -> None:
     """Write the sector 'even' or 'odd' of ``eig`` to ``path``, atomically."""
-    if eig.params is None:
-        raise ValueError("cannot cache an eigensystem without params")
     p, block = eig.params, eig.block(sector)
     parts = [
         HEADER.pack(
@@ -117,7 +110,7 @@ def load_eigensystem(path) -> FloquetEigensystem:
     _, version, dim, j, kappa, alpha, parity, clusters, residual = HEADER.unpack_from(buf)
     if version != VERSION:
         raise CacheFormatError(f"{path}: version {version}, expected {VERSION}")
-    if dim != round(2 * j) + 1 or parity not in (1, -1):
+    if dim != 2 * j + 1 or j != int(j) or parity not in (1, -1):
         raise CacheFormatError(f"{path}: dim {dim} or parity {parity} inconsistent with j={j}")
     n = _half_dim(parity, dim)
     vec_end = HEADER.size + 8 * n * n
@@ -126,7 +119,7 @@ def load_eigensystem(path) -> FloquetEigensystem:
         raise CacheFormatError(f"{path}: truncated file")
     if zlib.crc32(buf[: -CRC.size]) != CRC.unpack_from(buf, buf.size - CRC.size)[0]:
         raise CacheFormatError(f"{path}: checksum mismatch")
-    params = KickedTopParams(alpha=float(alpha), kappa=float(kappa), j=int(round(j)))
+    params = KickedTopParams(alpha=float(alpha), kappa=float(kappa), j=int(j))
     block = SectorEigensystem(
         parity=parity,
         quasienergies=buf[vec_end:nu_end].view("<f8"),
@@ -134,7 +127,7 @@ def load_eigensystem(path) -> FloquetEigensystem:
         degenerate_clusters=clusters,
         max_residual=residual,
     )
-    return FloquetEigensystem(sectors=(block,), row_phases=params.half_kick, params=params)
+    return FloquetEigensystem(sectors=(block,), params=params)
 
 
 def cached_eigensystem(params: KickedTopParams, cache_dir=None, sectors=SECTORS) -> FloquetEigensystem:
@@ -164,6 +157,5 @@ def cached_eigensystem(params: KickedTopParams, cache_dir=None, sectors=SECTORS)
             found[sector] = eig.block(sector)
             if cache_dir is not None:
                 save_eigensystem(cache_path(cache_dir, params, sector), eig, sector)
-                _format3_path(cache_dir, params).unlink(missing_ok=True)
     blocks = tuple(found[s] for s in SECTORS if s in found)
-    return FloquetEigensystem(sectors=blocks, row_phases=params.half_kick, params=params)
+    return FloquetEigensystem(sectors=blocks, params=params)

@@ -42,13 +42,10 @@ from numpy.random import SeedSequence, default_rng
 from .floquet import KickedTopParams
 
 __all__ = [
-    "ClassicalState",
     "GridSpec",
     "LyapunovField",
     "AveragedLyapunov",
-    "classical_step",
     "jacobian",
-    "lyapunov_exponent",
     "lyapunov_field",
     "averaged_lyapunov",
     "kappa_threshold",
@@ -60,23 +57,6 @@ __all__ = [
 DEFAULT_TRANSIENT = 100  # kicks discarded before Lyapunov accumulation
 CHUNK_TRAJECTORIES = 16384  # trajectories per kernel chunk: ~14 work arrays in 2 MB of L2
 RECORD_KICKS = 32  # portrait points recorded per block before their angles are taken
-
-
-@dataclass(frozen=True)
-class ClassicalState:
-    """Unit 3-vector S = (S_x, S_y, S_z) on the classical sphere."""
-
-    S: np.ndarray
-
-    @staticmethod
-    def from_angles(theta: float, phi: float) -> "ClassicalState":
-        return ClassicalState(_unit_vectors(theta, phi))
-
-    @property
-    def angles(self) -> tuple[float, float]:
-        """(phi, theta) sphere coordinates, phi folded into [0, 2pi)."""
-        phi = np.arctan2(self.S[1], self.S[0]) % (2 * np.pi)
-        return float(phi), float(np.arccos(np.clip(self.S[2], -1.0, 1.0)))
 
 
 def _unit_vectors(theta, phi) -> np.ndarray:
@@ -188,19 +168,13 @@ def _step_batch(s: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
     return np.stack([x, y, z], axis=1)
 
 
-def classical_step(state: ClassicalState, params) -> ClassicalState:
-    """One kick of the stroboscopic map; preserves |S| to ~1e-14."""
-    s = _step_batch(np.asarray(state.S, dtype=float)[None, :], params.alpha, params.kappa)
-    return ClassicalState(s[0])
-
-
-def jacobian(state, params) -> np.ndarray:
-    """Analytic tangent map T = dS(n+1)/dS(n) at the given point.
+def jacobian(s: np.ndarray, params) -> np.ndarray:
+    """Analytic tangent map T = dS(n+1)/dS(n) at the sphere point s, shape (3,).
 
     Chain rule through X: T = M + (dM/dX) S  (grad X)^T with
     grad X = kappa (0, sin a, cos a).
     """
-    s = np.asarray(state.S if isinstance(state, ClassicalState) else state, dtype=float)
+    s = np.asarray(s, dtype=float)
     sa, ca = np.sin(params.alpha), np.cos(params.alpha)
     xi = params.kappa * (s[1] * sa + s[2] * ca)
     cx, sx = np.cos(xi), np.sin(xi)
@@ -255,14 +229,6 @@ def _lyapunov_batch(
 
     _chunked(s.shape[0], scan, chunk, np.sin(alpha), np.cos(alpha), kappa)
     return lam
-
-
-def lyapunov_exponent(
-    state: ClassicalState, params, n_kicks: int, n_transient: int = DEFAULT_TRANSIENT
-) -> float:
-    """Largest Lyapunov exponent of one orbit (per kick)."""
-    s0 = np.asarray(state.S, dtype=float)[None, :]
-    return float(_lyapunov_batch(s0, params.alpha, params.kappa, n_kicks, n_transient)[0])
 
 
 @dataclass(frozen=True)

@@ -194,7 +194,9 @@ class Run:
         self.seed = int(self.pick("seed", 0))
         self.alpha = float(self.pick("alpha", ALPHA_DEFAULT))
         self.resolved = {"alpha": self.alpha, "seed": self.seed}
-        self.threads = self.count("threads", os.cpu_count() or 1, 1)
+        # default: the cores this process may run on, which taskset narrows
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        self.threads = self.count("threads", cores, 1)
         self.out = Path(self.pick("out", "out"))
         self.cache = None if self.pick("no-cache", False) else self.out / "cache"
         self.files: list[str] = []
@@ -401,7 +403,9 @@ def _q_text(q) -> str:
 
 
 def _parse_qs(text: str) -> tuple:
-    qs = []
+    """The --q orders; two that share a column label are a usage error,
+    since one would overwrite the other's column or repeat its rows."""
+    qs, labels = [], {}
     for part in str(text).split(","):
         part = part.strip().lower()
         try:
@@ -410,6 +414,10 @@ def _parse_qs(text: str) -> tuple:
             raise UsageError(f"cannot parse q value {part!r}") from exc
         if not q >= 0:
             raise UsageError(f"q values must be >= 0, got {part!r}")
+        label = _q_label(q)
+        if label in labels:
+            raise UsageError(f"q values {labels[label]!r} and {part!r} share the column label {label!r}")
+        labels[label] = part
         qs.append(q)
     return tuple(qs)
 

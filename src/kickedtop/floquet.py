@@ -81,10 +81,9 @@ class SectorEigensystem:
     ``vectors[:, i]`` is the real eigenvector o_i of the sector's block of
     F' (see ``diagonalize``) for ``quasienergies[i]``, which ascend.  Its
     rows are the sector's flip half of the Dicke rows: m = 0..j for the
-    half that holds m = 0, m = 1..j (or 1/2..j for half-integer j) for
-    the others.  On the rows -j..j the eigenvector is r_i with
-    r_i(m) = o_i(m)/sqrt2 and r_i(-m) = flip o_i(m)/sqrt2 for m > 0, and
-    r_i(0) = o_i(0); flip is the parity for integer j (see ``_flip``).
+    even sector, m = 1..j for the odd one.  On the rows -j..j the
+    eigenvector is r_i with r_i(m) = o_i(m)/sqrt2 and
+    r_i(-m) = parity o_i(m)/sqrt2 for m > 0, and r_i(0) = o_i(0).
     ``degenerate_clusters`` counts the sector's gauge-fixed degenerate
     clusters and ``max_residual`` is its largest |M o - e^(i nu) o|.
     """
@@ -98,18 +97,19 @@ class SectorEigensystem:
 
 @dataclass(frozen=True)
 class FloquetEigensystem:
-    """Parity sectors of F, each kept as solved, and the row phases of F.
+    """Parity sectors of F, each kept as solved, and the parameters they solve.
 
     ``sectors`` holds one or both ``SectorEigensystem``, even before odd,
-    and ``row_phases`` the per-row kick phases h = diag K^(1/2) over the
-    Dicke rows -j..j.  The eigenvectors of F are v_i = diag(h) r_i c_i
-    with r_i real, the mirrored half vector of its sector, and c_i a unit
-    phase per column, so weights |<v_i|psi>|^2 = |r_i^T (h* psi)|^2 need
-    no complex matrix, and no N x N one either: r_i^T y = o_i^T fold(y)
-    (see ``multifractal._weight_blocks``).  ``degenerate_clusters`` sums
-    the sectors' gauge-fixed clusters (nonzero values flag
-    gauge-dependent downstream quantities) and ``max_residual`` is the
-    largest of their residuals.
+    and ``row_phases`` derives the per-row kick phases h = diag K^(1/2)
+    over the Dicke rows -j..j from ``params``.  The eigenvectors of F are
+    v_i = diag(h) r_i c_i with r_i real, the mirrored half vector of its
+    sector, and c_i a unit phase per column, so weights
+    |<v_i|psi>|^2 = |r_i^T (h* psi)|^2 need no complex matrix, and no
+    N x N one either: r_i^T y = o_i^T fold(y) (see
+    ``multifractal._weight_blocks``).  ``degenerate_clusters`` sums the
+    sectors' gauge-fixed clusters (nonzero values flag gauge-dependent
+    downstream quantities) and ``max_residual`` is the largest of their
+    residuals.
 
     ``quasienergies``, ``parities``, ``real_vectors`` and ``eigenvectors``
     are derived from the sectors held, on each access, for the oracles
@@ -119,12 +119,15 @@ class FloquetEigensystem:
     """
 
     sectors: tuple
-    row_phases: np.ndarray = field(repr=False)
-    params: KickedTopParams | None = None
+    params: KickedTopParams
 
     @property
     def dim(self) -> int:
-        return self.row_phases.size
+        return 2 * self.params.j + 1
+
+    @property
+    def row_phases(self) -> np.ndarray:
+        return self.params.half_kick
 
     @property
     def degenerate_clusters(self) -> int:
@@ -173,7 +176,7 @@ class FloquetEigensystem:
         """Real eigenvectors r_i on the rows -j..j, each signed so its pivot
         entry (see ``eigenvectors``) is positive."""
         n = self.dim
-        halves = [_mirror(s.vectors, _flip(s.parity, n), n) for s in self.sectors]
+        halves = [_mirror(s.vectors, s.parity, n) for s in self.sectors]
         r = np.concatenate(halves, axis=1)[:, self.order]
         r *= np.sign(r[_pivot_rows(r), np.arange(r.shape[1])])
         return r
@@ -197,29 +200,20 @@ def _pivot_rows(r: np.ndarray) -> np.ndarray:
     return np.argmax(np.abs(r[: r.shape[0] // 2 + 1]), axis=0)
 
 
-_JX_LOCK = threading.Lock()  # lru_cache alone lets two threads miss on the same (j, flip)
-
-
-def _flip(parity: int, n: int) -> int:
-    """Sign of v(-m) = flip v(m) in a parity sector of spin j, n = 2j + 1.
-
-    The parity e^(i pi (Jx + j)) is the flip m -> -m for integer j (odd
-    n) and minus it for half-integer j.
-    """
-    return parity if n % 2 else -parity
+_JX_LOCK = threading.Lock()  # lru_cache alone lets two threads miss on the same (j, parity)
 
 
 def _half_dim(parity: int, n: int) -> int:
-    """Dimension of a parity sector: the rows of its flip half, m = 0..j
-    for the symmetric half of integer j, m > 0 otherwise."""
-    return n - n // 2 if _flip(parity, n) > 0 else n // 2
+    """Dimension of a parity sector, n = 2j + 1: the rows of its flip
+    half, m = 0..j for the even sector and m = 1..j for the odd one."""
+    return n // 2 + (parity == EVEN)
 
 
 def _mirror(half: np.ndarray, flip: float, n: int) -> np.ndarray:
     """Dicke rows -j..j of flip-(anti)symmetric vectors given on their upper half.
 
-    ``half`` holds the rows m = 0..j (a flip-symmetric half of integer j,
-    whose m = 0 entry is kept as is) or m > 0; each row m > 0 is spread
+    ``half`` holds the rows m = 0..j (a flip-symmetric half, whose m = 0
+    entry is kept as is) or m > 0; each row m > 0 is spread
     as half[m]/sqrt2 onto the rows m and -m, with sign ``flip`` on -m, so
     every column is exactly v(-m) = flip v(m).
     """
@@ -235,39 +229,39 @@ def _mirror(half: np.ndarray, flip: float, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _jx_half(j: float, flip: float) -> tuple[np.ndarray, np.ndarray]:
+def _jx_half(j: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     """Ladder values k and eigenvectors u of one flip half of J_x, both read-only.
 
     J_x is real symmetric tridiagonal in the Dicke basis with a
-    palindromic off-diagonal, so it commutes with the flip m -> -m, and
-    for integer j every eigenvector is exactly flip-symmetric (flip = 1,
-    k = -j, -j+2, ..., j) or flip-antisymmetric (flip = -1, the k in
-    between).  Each kind is an eigenvector of one half of the ladder,
-    given on its rows m >= 0 as ``_mirror`` takes them: the symmetric
-    half, of size j+1, whose first coupling, to m = 0, carries a factor
-    sqrt2, and the antisymmetric half, of size j, on m = 1..j.  Each
-    half is one dense ``np.linalg.eigh``; the exact spectrum is the
-    integer ladder, so the computed eigenvalues are checked against it
-    and k is the ladder itself.  The only eigensolve of J_x, memoized
-    per (j, flip); callers hold ``_JX_LOCK``.
+    palindromic off-diagonal, so it commutes with the flip m -> -m, the
+    parity of integer j, and every eigenvector is exactly flip-symmetric
+    (parity = 1, k = -j, -j+2, ..., j) or flip-antisymmetric
+    (parity = -1, the k in between).  Each kind is an eigenvector of one
+    half of the ladder, given on its rows m >= 0 as ``_mirror`` takes
+    them: the symmetric half, of size j+1, whose first coupling, to
+    m = 0, carries a factor sqrt2, and the antisymmetric half, of size
+    j, on m = 1..j.  Each half is one dense ``np.linalg.eigh``; the
+    exact spectrum is the integer ladder, so the computed eigenvalues
+    are checked against it and k is the ladder itself.  The only
+    eigensolve of J_x, memoized per (j, parity); callers hold
+    ``_JX_LOCK``.
     """
-    basis = SpinBasis(j)
-    n = basis.dim
-    _, e = jx_tridiagonal(basis)
-    mid = int(flip > 0)  # only symmetric vectors have an m = 0 entry
-    off = e[n // 2 + 1 - mid :].copy()
+    j = int(j)
+    _, e = jx_tridiagonal(SpinBasis(j))
+    mid = int(parity > 0)  # only symmetric vectors have an m = 0 entry
+    off = e[j + 1 - mid :].copy()
     if mid:
         off[0] *= np.sqrt(2.0)  # <0| J_x (|1> + |-1>)/sqrt2
     try:
         w, u = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure is pathological
         raise DiagonalizationError(
-            f"J_x eigensolver failed for a half of dim={off.size + 1} at dim={n}: {exc}"
+            f"J_x eigensolver failed for a half of dim={off.size + 1} at dim={2 * j + 1}: {exc}"
         ) from exc
-    k = basis.m_values[1 - mid :: 2]  # same ladder as m, ascending
+    k = np.arange(1.0 - mid - j, j + 1, 2)  # every other rung of the ladder m = -j..j, ascending
     defect = np.max(np.abs(w - k))
-    if defect > 1e-8 * max(1.0, basis.j):
-        raise DiagonalizationError(f"J_x spectrum defect {defect:.3e} at dim={basis.dim}")
+    if defect > 1e-8 * j:
+        raise DiagonalizationError(f"J_x spectrum defect {defect:.3e} at dim={2 * j + 1}")
     k.setflags(write=False)
     u.setflags(write=False)
     return k, u
@@ -391,11 +385,12 @@ def diagonalize(params: KickedTopParams, gap_tol: float = 1e-10, sectors=SECTORS
     nu = atan2(o^T B o, o^T A o), and the eigenvectors of F are
     v = K^(1/2) r with r the mirrored o.  Each sector is kept as solved,
     its nu ascending and its real half block O (``SectorEigensystem``),
-    together with the row phases diag K^(1/2); nothing is mirrored,
-    merged or re-signed.  Quasienergy clusters with internal gaps below
-    ``gap_tol`` get a deterministic gauge from the compressed Jz^2 and
-    are counted in the sector's ``degenerate_clusters``.  Every block is
-    checked for |M o - e^(i nu) o| before returning; a failure raises
+    together with ``params``, from which the row phases diag K^(1/2)
+    follow; nothing is mirrored, merged or re-signed.  Quasienergy
+    clusters with internal gaps below ``gap_tol`` get a deterministic
+    gauge from the compressed Jz^2 and are counted in the sector's
+    ``degenerate_clusters``.  Every block is checked for
+    |M o - e^(i nu) o| before returning; a failure raises
     DiagonalizationError, and the block's largest residual is kept as
     its ``max_residual``.
     """
@@ -410,9 +405,9 @@ def diagonalize(params: KickedTopParams, gap_tol: float = 1e-10, sectors=SECTORS
             continue
         parity = _PARITY[name]
         with _JX_LOCK:
-            k, u = _jx_half(float(j), float(parity))  # integer j: the parity is the flip
+            k, u = _jx_half(j, parity)
         first = int(parity == ODD)  # the odd half starts at m = 1
         nu, o, clusters, residual = _sector_eigensystem(u, k, h_half[first:], m2[first:], gap_tol, params)
         blocks.append(SectorEigensystem(parity, nu, o, clusters, residual))
-    return FloquetEigensystem(sectors=tuple(blocks), row_phases=h, params=params)
+    return FloquetEigensystem(sectors=tuple(blocks), params=params)
 

@@ -15,18 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import GridSpec, haar_sphere, rng_for_task
-from .floquet import FloquetEigensystem, _flip
-from .spin import CoherentState, SpinBasis, coherent_band
+from .floquet import ODD, FloquetEigensystem
+from .spin import SpinBasis, coherent_band
 
 __all__ = [
-    "ExpansionCoefficients",
     "MultifractalResult",
     "DqField",
     "ScalingFit",
-    "expand_in_floquet_basis",
     "expand_states",
     "coherent_weights",
-    "fractal_dimensions",
     "renyi_dimensions",
     "dq_field",
     "averaged_dq",
@@ -39,28 +36,14 @@ BLOCK_STATES = 128  # coherent states per theta-sorted block; 64-128 measured fa
 
 
 @dataclass(frozen=True)
-class ExpansionCoefficients:
-    """Probabilities |w_i|^2 of one state over an N-dimensional basis."""
-
-    weights: np.ndarray = field(repr=False)
-    basis_dim: int
-
-
-@dataclass(frozen=True)
 class MultifractalResult:
-    """Fractal dimensions and Renyi entropies for a configured q set.
-
-    For Monte-Carlo averages ``stderr`` holds the standard error of each
-    D_q mean; it is None for single-state results.
-    """
+    """Monte-Carlo averages of the fractal dimensions and Renyi entropies
+    for a configured q set, with the standard error of each D_q mean."""
 
     q_values: tuple
     D_q: np.ndarray
     S_q: np.ndarray
-    stderr: np.ndarray | None = None
-
-    def dim(self, q) -> float:
-        return float(self.D_q[self.q_values.index(q)])
+    stderr: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -96,15 +79,6 @@ class ScalingFit:
     residual: float
 
 
-def expand_in_floquet_basis(
-    state: CoherentState, eig: FloquetEigensystem
-) -> ExpansionCoefficients:
-    """Overlap probabilities |<nu_i|theta,phi>|^2 of one coherent state."""
-    basis = SpinBasis((state.amplitudes.size - 1) / 2)
-    weights = coherent_weights(basis, eig, [state.theta], [state.phi])[0]
-    return ExpansionCoefficients(weights=weights, basis_dim=eig.dim)
-
-
 def expand_states(amplitudes: np.ndarray, eig: FloquetEigensystem) -> np.ndarray:
     """Weights |<nu_i|psi_k>|^2 for column-stacked states; shape (n_states, N).
 
@@ -122,38 +96,36 @@ def _fold(band: np.ndarray, lo: int, hi: int, n: int, work: np.ndarray):
     """The band moved onto the rows m >= 0 of the flip halves: (fold, anti, r0).
 
     ``band`` holds the Dicke rows [lo, hi) of y, its rows m != 0 already
-    scaled by 1/sqrt2.  Rows are counted from the middle Dicke row n // 2.
-    A window on one side of m = 0 needs no sums: ``fold`` is the band
-    itself, or the band reversed onto the rows -m when it lies below
-    m = 0, from row r0, and serves both halves (a reversed band flips the
-    sign of every antisymmetric term at once, which no weight sees);
-    ``anti`` is None.  A window across m = 0 gives ``fold``, y(m) + y(-m)
-    on the rows m > 0 and y(0) on an m = 0 row, and ``anti``,
+    scaled by 1/sqrt2.  Rows are counted from the Dicke row c = n // 2 of
+    m = 0 (n = 2j + 1 is odd).  A window on one side of m = 0 needs no
+    sums: ``fold`` is the band itself, or the band reversed onto the rows
+    -m when it lies below m = 0, from row r0, and serves both halves (a
+    reversed band flips the sign of every antisymmetric term at once,
+    which no weight sees); ``anti`` is None.  A window across m = 0 gives
+    ``fold``, y(0) and then y(m) + y(-m) on the rows m > 0, and ``anti``,
     y(m) - y(-m) on the rows m > 0 (up to one sign for all of them),
-    from the middle row (r0 = 0), in the flat complex array ``work`` of
-    at least n * band.shape[1] entries.
+    from m = 0 (r0 = 0), in the flat complex array ``work`` of at least
+    n * band.shape[1] entries.
     """
     c = n // 2
-    top = n - c  # Dicke row of the smallest m > 0
     if lo >= c:
         return band, None, lo - c
-    if hi <= top:
+    if hi <= c + 1:
         rev = work[: band.size].reshape(band.shape)
         np.copyto(rev, band[::-1])
-        return rev, None, n - hi - c
-    up, low = band[top - lo :], band[: c - lo][::-1]  # rows m > 0 and -m < 0, from |m| up
+        return rev, None, c + 1 - hi
+    up, low = band[c + 1 - lo :], band[: c - lo][::-1]  # rows m > 0 and -m < 0, from |m| up
     ov, rows = min(len(up), len(low)), max(len(up), len(low))
-    mid = top - c  # 1 when Dicke row c is m = 0
     cols = band.shape[1]
-    fold = work[: (mid + rows) * cols].reshape(mid + rows, cols)
-    anti = work[(mid + rows) * cols : (mid + 2 * rows) * cols].reshape(rows, cols)
-    fold[:mid] = band[c - lo : top - lo]
-    np.add(up[:ov], low[:ov], out=fold[mid : mid + ov])
+    fold = work[: (1 + rows) * cols].reshape(1 + rows, cols)
+    anti = work[(1 + rows) * cols : (1 + 2 * rows) * cols].reshape(rows, cols)
+    fold[0] = band[c - lo]
+    np.add(up[:ov], low[:ov], out=fold[1 : 1 + ov])
     np.subtract(up[:ov], low[:ov], out=anti[:ov])
     if len(up) > ov:
-        fold[mid + ov :] = anti[ov:] = up[ov:]
+        fold[1 + ov :] = anti[ov:] = up[ov:]
     else:
-        fold[mid + ov :] = low[ov:]
+        fold[1 + ov :] = low[ov:]
         np.negative(low[ov:], out=anti[ov:])
     return fold, anti, 0
 
@@ -163,7 +135,8 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
     coherent states; ``weights[r]`` belongs to input state ``indices[r]``,
     its columns the sectors' eigenvectors side by side, each sector in
     its stored order.  ``weights`` is a work array that the next block
-    overwrites.
+    overwrites.  The eigensystem must be of integer j (odd dimension),
+    as every ``KickedTopParams`` is; an even dimension is a ValueError.
 
     Since v_i = diag(h) r_i c_i with r_i real, |<v_i|psi>| = |r_i^T y|
     with y = h* psi, and r_i is the mirror of its sector's half vector
@@ -180,23 +153,24 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
     """
     if basis.dim != eig.dim:
         raise ValueError(f"dimension mismatch: states dim {basis.dim}, eigenbasis dim {eig.dim}")
+    if eig.dim % 2 == 0:
+        raise ValueError(f"even eigensystem dimension {eig.dim}: the sectors fold for integer j only")
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
     if thetas.ndim != 1 or thetas.shape != phis.shape:
         raise ValueError(f"thetas and phis must be 1-D of one length, got {thetas.shape}, {phis.shape}")
     order = np.argsort(thetas, kind="stable")
     n = eig.dim
-    mid = n % 2  # 1 when the middle Dicke row is m = 0, which only the symmetric half holds
-    row_factor = eig.row_phases.conj() * np.sqrt(0.5)
-    if mid:
-        row_factor[n // 2] = eig.row_phases[n // 2].conj()  # m = 0 is its own mirror
-    halves = np.zeros((n - n // 2, sum(s.quasienergies.size for s in eig.sectors)))
-    placed, col = [], 0  # (symmetric?, columns) per sector
+    c = n // 2  # the Dicke row of m = 0, which only the even half holds
+    h = eig.row_phases
+    row_factor = h.conj() * np.sqrt(0.5)
+    row_factor[c] = h[c].conj()  # m = 0 is its own mirror
+    halves = np.zeros((c + 1, sum(s.quasienergies.size for s in eig.sectors)))
+    placed, col = [], 0  # (first row, columns) per sector
     for s in eig.sectors:
-        sym, size = _flip(s.parity, n) > 0, s.quasienergies.size
-        first = 0 if sym else mid
+        first, size = int(s.parity == ODD), s.quasienergies.size  # the odd half starts at m = 1
         halves[first : first + size, col : col + size] = s.vectors
-        placed.append((sym, slice(col, col + size)))
+        placed.append((first, slice(col, col + size)))
         col += size
     weights = np.empty((BLOCK_STATES, col))
     product = np.empty((2 * BLOCK_STATES, col))
@@ -210,8 +184,8 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
         if anti is None:
             np.matmul(fold.view(float).T, halves[r0 : r0 + len(fold)], out=p)
         else:
-            for sym, cols in placed:
-                f, first = (fold, 0) if sym else (anti, mid)
+            for first, cols in placed:
+                f = anti if first else fold
                 np.matmul(f.view(float).T, halves[first : first + len(f), cols], out=p[:, cols])
         p *= p
         w = weights[: idx.size]
@@ -284,14 +258,6 @@ def renyi_dimensions(weights: np.ndarray, q_values) -> tuple[np.ndarray, np.ndar
             total = np.sum(term, axis=1)
             s[:, l] = -total if q == 1.0 else np.log(total) / (1.0 - q)
     return s, s / logn
-
-
-def fractal_dimensions(coeffs: ExpansionCoefficients, q_values=DEFAULT_QS) -> MultifractalResult:
-    """Fractal dimensions D_q = S_q / ln N of one expansion."""
-    if coeffs.basis_dim < 2:
-        raise ValueError("D_q undefined for basis dimension 1 (division by ln 1)")
-    s, d = renyi_dimensions(coeffs.weights[None, :], q_values)
-    return MultifractalResult(q_values=tuple(q_values), D_q=d[0], S_q=s[0])
 
 
 def dq_field(

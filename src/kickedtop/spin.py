@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "SpinBasis",
-    "CoherentState",
     "angular_momentum",
-    "coherent_state",
     "coherent_state_matrix",
     "coherent_band",
 ]
@@ -56,20 +54,6 @@ class SpinBasis:
         return np.arange(self.dim) - self.j
 
 
-@dataclass(frozen=True)
-class CoherentState:
-    """Normalized SU(2) coherent state |theta, phi> over the Dicke basis."""
-
-    amplitudes: np.ndarray = field(repr=False)
-    theta: float
-    phi: float
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Occupation probabilities |c_m|^2."""
-        return np.abs(self.amplitudes) ** 2
-
-
 def angular_momentum(basis: SpinBasis, axis: str) -> np.ndarray:
     """Dense matrix of J_x, J_y or J_z in the Dicke basis.
 
@@ -96,22 +80,12 @@ def jx_tridiagonal(basis: SpinBasis) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(basis.dim), off
 
 
-def coherent_state(basis: SpinBasis, theta: float, phi: float) -> CoherentState:
-    """SU(2) coherent spin state centered at sphere point (theta, phi).
-
-    theta in [0, pi], phi in [0, 2pi).  One column of
-    :func:`coherent_state_matrix`, normalized to 1.
-    """
-    amps = coherent_state_matrix(basis, [theta], [phi])[:, 0]
-    return CoherentState(amplitudes=amps, theta=float(theta), phi=float(phi))
-
-
 def coherent_state_matrix(basis: SpinBasis, thetas, phis) -> np.ndarray:
     """Column-stacked coherent states for many (theta, phi) points.
 
     Returns a dim x n complex array whose k-th column is the amplitude
     vector of |theta_k, phi_k>, normalized to 1: :func:`coherent_band`
-    placed in all 2j+1 rows.
+    placed in all 2j+1 rows.  One state is ``[:, 0]`` of a batch of one.
 
     Amplitudes are zeta^(j-m) (1+|zeta|^2)^(-j) sqrt((2j)!/((j+m)!(j-m)!))
     with zeta = tan(theta/2) e^(i phi).  The factorial ratio and the

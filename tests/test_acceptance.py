@@ -14,7 +14,6 @@ import pytest
 from scipy.stats import pearsonr, spearmanr
 
 from kickedtop.classical import (
-    ClassicalState,
     GridSpec,
     averaged_lyapunov,
     haar_sphere,
@@ -419,7 +418,7 @@ def test_criterion_8_property_suite():
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
         pp_ = KickedTopParams(alpha=rng.uniform(0.1, 6.2), kappa=rng.uniform(0, 10), j=1)
-        analytic = jacobian(ClassicalState(v), pp_)
+        analytic = jacobian(v, pp_)
         fd = np.empty((3, 3))
         for k in range(3):
             e = np.zeros(3)

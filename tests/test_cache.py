@@ -193,6 +193,20 @@ def test_header_of_other_sector_or_params_is_a_miss(tmp_path, sector):
         assert_sector_file(path, sector)  # overwritten
 
 
+def test_header_of_half_integer_j_is_rejected(tmp_path):
+    # a well-formed format-4 file of a half-integer j, whose parity sectors
+    # are no flip halves, must not load as the integer j it rounds to
+    path = tmp_path / "half.ktc"
+    blob = b"".join([
+        cache.HEADER.pack(cache.MAGIC, cache.VERSION, 4, 1.5, 3.0, 1.0, 1, 0, 0.0),
+        np.eye(2).astype("<f8").tobytes(),
+        np.zeros(2).astype("<f8").tobytes(),
+    ])
+    path.write_bytes(blob + cache.CRC.pack(zlib.crc32(blob)))
+    with pytest.raises(CacheFormatError, match="inconsistent with j=1.5"):
+        load_eigensystem(path)
+
+
 def write_v1(path, eig):
     """Format-1 layout: magic, version, j/kappa/alpha, dim, phases, parities, vectors."""
     p = eig.params
@@ -270,23 +284,6 @@ def test_save_leaves_no_temporary_files(tmp_path):
     cached_eigensystem(PARAMS, tmp_path)
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
         cache_path(tmp_path, PARAMS, s).name for s in SECTORS
-    )
-
-
-def test_format3_file_removed_when_its_key_is_written(tmp_path):
-    """A format-3 file (both sectors in ``eig_<key>.ktc``) is never read
-    again, so writing the sector files of its key removes it; format-3
-    files of other keys stay until their own key is written."""
-    other = KickedTopParams(alpha=PARAMS.alpha, kappa=5.0, j=PARAMS.j)
-    stale = tmp_path / f"eig_{cache.cache_key(PARAMS)}.ktc"
-    kept = tmp_path / f"eig_{cache.cache_key(other)}.ktc"
-    write_v3(stale, fresh_eigensystem())
-    write_v3(kept, diagonalize(other))
-    cached_eigensystem(PARAMS, tmp_path, ("odd",))
-    assert not stale.exists()
-    assert kept.exists()
-    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
-        [kept.name, cache_path(tmp_path, PARAMS, "odd").name]
     )
 
 

@@ -10,14 +10,11 @@ from scipy import ndimage
 
 from kickedtop import classical
 from kickedtop.classical import (
-    ClassicalState,
     GridSpec,
     averaged_lyapunov,
-    classical_step,
     haar_sphere,
     jacobian,
     kappa_threshold,
-    lyapunov_exponent,
     lyapunov_field,
     phase_portrait,
     rng_for_task,
@@ -40,15 +37,15 @@ def random_unit_vectors(n, seed=0):
 
 
 def test_alpha_zero_preserves_sz():
-    s = ClassicalState(np.array([0.36, 0.48, 0.8]))
+    s = np.array([[0.36, 0.48, 0.8]])
     for kappa in (0.0, 2.0, 9.0):
-        out = classical_step(s, params(alpha=0.0, kappa=kappa))
-        assert abs(out.S[2] - 0.8) < 1e-14
+        out = _step_batch(s, 0.0, kappa)
+        assert abs(out[0, 2] - 0.8) < 1e-14
 
 
 def test_pure_rotation_about_x():
-    out = classical_step(ClassicalState(np.array([0.0, 0.0, 1.0])), params(np.pi / 2, 0.0))
-    assert np.max(np.abs(out.S - np.array([0.0, -1.0, 0.0]))) < 1e-14
+    out = _step_batch(np.array([[0.0, 0.0, 1.0]]), np.pi / 2, 0.0)
+    assert np.max(np.abs(out[0] - np.array([0.0, -1.0, 0.0]))) < 1e-14
 
 
 def test_norm_preserved_long_run():
@@ -75,7 +72,7 @@ def test_jacobian_matches_finite_differences():
     h = 1e-6
     for v in random_unit_vectors(20, seed=1):
         p = params(alpha=rng.uniform(0.1, 6.2), kappa=rng.uniform(0.0, 10.0))
-        analytic = jacobian(ClassicalState(v), p)
+        analytic = jacobian(v, p)
         fd = np.empty((3, 3))
         for k in range(3):
             e = np.zeros(3)
@@ -87,12 +84,12 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_lyapunov_zero_for_isometry():
-    lam = lyapunov_exponent(ClassicalState(np.array([0.6, 0.8, 0.0])), params(1.3, 0.0), 2000)
+    (lam,) = _lyapunov_batch(np.array([[0.6, 0.8, 0.0]]), 1.3, 0.0, 2000)
     assert abs(lam) < 1e-12
 
 
 def test_lyapunov_small_in_regular_regime():
-    lam = lyapunov_exponent(ClassicalState(np.array([0.6, 0.8, 0.0])), params(kappa=0.4), 5000)
+    (lam,) = _lyapunov_batch(np.array([[0.6, 0.8, 0.0]]), ALPHA, 0.4, 5000)
     assert abs(lam) < 0.01
 
 
@@ -105,19 +102,15 @@ def test_lyapunov_strong_kick_matches_asymptote():
 def test_tangent_growth_is_linear_in_time():
     # chaotic orbit: the mean log stretch per kick settles well above zero;
     # its convergence in the kick count is test_estimator_stability_under_doubling
-    p = params(kappa=7.0)
-    lam = lyapunov_exponent(
-        ClassicalState(np.array([0.43, -0.31, 0.85]) / np.linalg.norm([0.43, -0.31, 0.85])),
-        p,
-        5000,
-    )
+    s = np.array([[0.43, -0.31, 0.85]]) / np.linalg.norm([0.43, -0.31, 0.85])
+    (lam,) = _lyapunov_batch(s, ALPHA, 7.0, 5000)
     assert lam > 0.8
 
 
 def test_estimator_stability_under_doubling():
-    s = ClassicalState(np.array([0.43, -0.31, 0.85]) / np.linalg.norm([0.43, -0.31, 0.85]))
-    l1 = lyapunov_exponent(s, params(kappa=7.0), 2500)
-    l2 = lyapunov_exponent(s, params(kappa=7.0), 5000)
+    s = np.array([[0.43, -0.31, 0.85]]) / np.linalg.norm([0.43, -0.31, 0.85])
+    (l1,) = _lyapunov_batch(s, ALPHA, 7.0, 2500)
+    (l2,) = _lyapunov_batch(s, ALPHA, 7.0, 5000)
     assert abs(l2 - l1) / l1 < 0.02
 
 
@@ -133,17 +126,17 @@ def test_lyapunov_batch_independent_of_chunking(monkeypatch):
 
 @pytest.mark.parametrize("kappa", [0.4, 3.0, 7.0])
 def test_lyapunov_batch_matches_jacobian_oracle(kappa):
-    # Benettin by hand: classical_step for the orbit, the analytic
+    # Benettin by hand: one-point kicks for the orbit, the analytic
     # jacobian for the tangent vector, renormalized every kick
     p = params(kappa=kappa)
     s0 = random_unit_vectors(20, seed=6)
     n_kicks, n_transient = 500, 100
     expected = []
     for s in s0:
-        state, d, acc = ClassicalState(s), np.full(3, 1.0 / np.sqrt(3.0)), 0.0
+        state, d, acc = s, np.full(3, 1.0 / np.sqrt(3.0)), 0.0
         for n in range(n_transient + n_kicks):
             d = jacobian(state, p) @ d
-            state = classical_step(state, p)
+            state = _step_batch(state[None, :], p.alpha, p.kappa)[0]
             r = np.linalg.norm(d)
             if n >= n_transient:
                 acc += np.log(r)
@@ -162,8 +155,6 @@ def test_lyapunov_needs_a_kick():
         lyapunov_field(params(), GridSpec(n_phi=2, n_theta=2), n_kicks=0)
     with pytest.raises(ValueError, match="n_kicks"):
         averaged_lyapunov(params(), n_samples=4, n_kicks=0)
-    with pytest.raises(ValueError, match="n_kicks"):
-        lyapunov_exponent(ClassicalState(s0[0]), params(), 0)
 
 
 def test_field_regular_regime_mostly_zero():
@@ -312,20 +303,17 @@ def test_portrait_points_follow_classical_step():
     n_orbits, n_kicks = 6, 40
     phi, theta, orbit = phase_portrait(p, n_orbits=n_orbits, n_kicks=n_kicks, seed=4)
     theta0, phi0 = haar_sphere(n_orbits, rng_for_task(4))
+    s = np.stack(
+        [np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)], axis=1
+    )
+    points = []
+    for _ in range(n_kicks + 1):
+        points.append([np.arctan2(s[:, 1], s[:, 0]) % (2 * np.pi), np.arccos(np.clip(s[:, 2], -1.0, 1.0))])
+        s = _step_batch(s, p.alpha, p.kappa)
+    points = np.array(points)  # (kick, phi/theta, orbit)
     for k in range(n_orbits):
-        state = ClassicalState.from_angles(theta0[k], phi0[k])
-        points = []
-        for _ in range(n_kicks + 1):
-            points.append(state.angles)
-            state = classical_step(state, p)
         mask = orbit == k
-        assert np.array_equal(np.column_stack([phi[mask], theta[mask]]), points)
-
-
-def test_state_angle_round_trip():
-    state = ClassicalState.from_angles(1.2, 4.5)
-    phi, theta = state.angles
-    assert abs(theta - 1.2) < 1e-12 and abs(phi - 4.5) < 1e-12
+        assert np.array_equal(np.column_stack([phi[mask], theta[mask]]), points[:, :, k])
 
 
 # ---------------------------------------------------------------- batched kernel

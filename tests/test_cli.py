@@ -323,6 +323,32 @@ def test_usage_error_negative_q(tmp_path, capsys, no_eigensystem):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("mode", ["field", "scan", "scaling"])
+@pytest.mark.parametrize("qs", ["1,1.0000001,2", "2,2", "inf,Infinity"])
+def test_usage_error_q_orders_sharing_a_label(tmp_path, capsys, no_eigensystem, mode, qs):
+    # D1 would be written once for two orders (field), or rows and fits twice (scan, scaling)
+    assert run("multifractal", "--mode", mode, "--j-list", "4,5", "--kappa", "3", "--grid", "2",
+               "--q", qs, "--out", tmp_path) == 1
+    assert "share the column label" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def _manifest_threads(out):
+    return json.loads((out / "portrait_manifest.json").read_text())["config"]["threads"]
+
+
+def test_default_threads_follow_cpu_affinity(tmp_path, monkeypatch):
+    # a process pinned to one core (taskset -c 0) gets one thread, whatever cpu_count says
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert run("portrait", "--kappa", "3", "--orbits", "2", "--kicks", "1", "--out", tmp_path / "a") == 0
+    assert _manifest_threads(tmp_path / "a") == "1"
+    # a platform without sched_getaffinity falls back on cpu_count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert run("portrait", "--kappa", "3", "--orbits", "2", "--kicks", "1", "--out", tmp_path / "b") == 0
+    assert _manifest_threads(tmp_path / "b") == "8"
+
+
 @pytest.mark.parametrize("samples", ["0", "-1"])
 def test_usage_error_coeffdist_samples(tmp_path, capsys, no_eigensystem, samples):
     assert run("coeffdist", "--j-list", "4", "--kappa", "3", "--samples", samples,

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from kickedtop import floquet
-from kickedtop.classical import ClassicalState, classical_step
+from kickedtop.classical import _step_batch
 from kickedtop.floquet import KickedTopParams, diagonalize
-from kickedtop.spin import SpinBasis, angular_momentum, coherent_state, jx_tridiagonal
+from kickedtop.spin import SpinBasis, angular_momentum, coherent_state_matrix, jx_tridiagonal
 
 ALPHA = 4 * np.pi / 7
 
@@ -422,14 +422,14 @@ def test_evolve_norm_and_classical_tracking():
         return v @ (np.exp(1j * n_kicks * nu) * (v.conj().T @ psi))
 
     jz = angular_momentum(SpinBasis(j), "z")
-    psi0 = coherent_state(SpinBasis(j), theta0, phi0).amplitudes
-    state = ClassicalState.from_angles(theta0, phi0)
+    psi0 = coherent_state_matrix(SpinBasis(j), [theta0], [phi0])[:, 0]
+    s = np.array([[np.sin(theta0) * np.cos(phi0), np.sin(theta0) * np.sin(phi0), np.cos(theta0)]])
     for n in range(3):
         psi = evolve(psi0, n)
         quantum = (psi.conj() @ jz @ psi).real / j
         tol = 1e-10 if n <= 1 else 0.1
-        assert abs(quantum - state.S[2]) < tol, f"kick {n}"
-        state = classical_step(state, params)
+        assert abs(quantum - s[0, 2]) < tol, f"kick {n}"
+        s = _step_batch(s, params.alpha, params.kappa)
     assert abs(np.linalg.norm(evolve(psi0, 100)) - 1.0) < 1e-8
 
 

@@ -1,4 +1,5 @@
 import functools
+import types
 from math import lgamma
 
 import numpy as np
@@ -7,22 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickedtop.classical import GridSpec, haar_sphere, rng_for_task
-from kickedtop import floquet
 from kickedtop.floquet import FloquetEigensystem, KickedTopParams, SectorEigensystem, diagonalize
 from kickedtop.multifractal import (
     BLOCK_STATES,
     WEIGHT_CUTOFF,
-    ExpansionCoefficients,
     averaged_dq,
     coherent_weights,
     dq_field,
-    expand_in_floquet_basis,
     expand_states,
-    fractal_dimensions,
     renyi_dimensions,
     scaling_fit,
 )
-from kickedtop.spin import SpinBasis, coherent_state, coherent_state_matrix
+from kickedtop.spin import SpinBasis, coherent_state_matrix
 
 ALPHA = 4 * np.pi / 7
 QGRID = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, np.inf)
@@ -35,24 +32,21 @@ def eigensystem(j, kappa, alpha=ALPHA):
 
 @functools.lru_cache(maxsize=None)
 def random_eigensystem(j):
-    """Haar-random real orthogonal half vectors per parity sector, with
-    random row phases h: eigenvectors diag(h) R diag(c), R the mirrored
-    halves, dense in every row; for integer and half-integer j."""
-    dim = round(2 * j) + 1
-    rng = np.random.default_rng(dim)
+    """Haar-random real orthogonal half vectors per parity sector of the
+    kicked top at j, with the kick's row phases h: eigenvectors
+    diag(h) R diag(c), R the mirrored halves, dense in every row."""
+    rng = np.random.default_rng(2 * j + 1)
     sectors = []
-    for parity in (1, -1):
-        n = floquet._half_dim(parity, dim)
+    for parity, n in ((1, j + 1), (-1, j)):
         q, r = np.linalg.qr(rng.normal(size=(n, n)))
         q *= np.sign(np.diag(r))
         sectors.append(SectorEigensystem(parity, np.zeros(n), q))
-    h = np.exp(2j * np.pi * rng.random(dim))
-    return FloquetEigensystem(tuple(sectors), h)
+    return FloquetEigensystem(tuple(sectors), KickedTopParams(alpha=ALPHA, kappa=7.0, j=j))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(
-    j=st.sampled_from([0.5, 1, 7.5, 30, 150, 400]),
+    j=st.sampled_from([1, 30, 150, 400]),
     n_random=st.integers(0, 2 * BLOCK_STATES + 5),
     chosen=st.lists(
         st.one_of(st.sampled_from([0.0, 5e-324, 1e-9, np.pi - 1e-9, np.pi]), st.floats(0.0, np.pi)),
@@ -89,6 +83,17 @@ def test_coherent_weights_match_dense_oracle_on_floquet_eigensystems(j, kappa):
     assert np.max(np.abs(coherent_weights(basis, eig, theta, phi) - oracle)) < 1e-12
 
 
+def test_coherent_weights_rejects_even_dimension():
+    # half-integer j has no m = 0 row for the parity sectors to fold on;
+    # KickedTopParams admits integer j only, so a stand-in carries j = 7.5
+    params = types.SimpleNamespace(j=7.5, half_kick=np.ones(16, dtype=complex))
+    sectors = tuple(SectorEigensystem(parity, np.zeros(8), np.eye(8)) for parity in (1, -1))
+    eig = FloquetEigensystem(sectors, params)
+    assert eig.dim == 16
+    with pytest.raises(ValueError, match="even eigensystem dimension 16"):
+        coherent_weights(SpinBasis(7.5), eig, [1.0], [0.5])
+
+
 def test_coherent_weights_permutation_equivariant():
     eig = random_eigensystem(30)
     theta, phi = haar_sphere(3 * BLOCK_STATES + 17, rng_for_task(2))
@@ -122,24 +127,22 @@ def test_averaged_dq_needs_two_samples():
 
 
 def test_localized_state_zero_dimensions():
-    w = np.zeros(301)
-    w[17] = 1.0
-    res = fractal_dimensions(ExpansionCoefficients(w, 301), (0.5, 1.0, 2.0, np.inf))
-    assert np.max(np.abs(res.D_q)) < 1e-12
+    w = np.zeros((1, 301))
+    w[0, 17] = 1.0
+    _, d = renyi_dimensions(w, (0.5, 1.0, 2.0, np.inf))
+    assert np.max(np.abs(d)) < 1e-12
 
 
 def test_uniform_state_unit_dimensions():
-    res = fractal_dimensions(
-        ExpansionCoefficients(np.full(1024, 1 / 1024), 1024), QGRID
-    )
-    assert np.max(np.abs(res.D_q - 1.0)) < 1e-12
+    _, d = renyi_dimensions(np.full((1, 1024), 1 / 1024), QGRID)
+    assert np.max(np.abs(d - 1.0)) < 1e-12
 
 
 def test_two_point_state_analytic():
-    w = np.zeros(1024)
-    w[3] = w[900] = 0.5
-    res = fractal_dimensions(ExpansionCoefficients(w, 1024), (0.5, 1.0, 2.0, np.inf))
-    assert np.max(np.abs(res.D_q - np.log(2) / np.log(1024))) < 1e-12
+    w = np.zeros((1, 1024))
+    w[0, 3] = w[0, 900] = 0.5
+    _, d = renyi_dimensions(w, (0.5, 1.0, 2.0, np.inf))
+    assert np.max(np.abs(d - np.log(2) / np.log(1024))) < 1e-12
 
 
 def test_dq_monotone_and_bounded_on_random_states():
@@ -164,24 +167,22 @@ def test_q_to_one_continuity():
 
 def test_expansion_weights_normalized():
     eig = eigensystem(60, 3.0)
-    state = coherent_state(SpinBasis(60), 1.0, 2.0)
-    coeffs = expand_in_floquet_basis(state, eig)
-    assert abs(coeffs.weights.sum() - 1.0) < 1e-10
-    assert np.all(coeffs.weights >= 0)
+    weights = coherent_weights(SpinBasis(60), eig, [1.0], [2.0])[0]
+    assert abs(weights.sum() - 1.0) < 1e-10
+    assert np.all(weights >= 0)
 
 
 def test_eigenbasis_round_trip():
     eig = eigensystem(60, 3.0)
-    state = coherent_state(SpinBasis(60), 2.2, 0.4).amplitudes
+    state = coherent_state_matrix(SpinBasis(60), [2.2], [0.4])[:, 0]
     w = eig.eigenvectors.conj().T @ state
     assert np.max(np.abs(eig.eigenvectors @ w - state)) < 1e-8
 
 
 def test_dimension_mismatch_rejected():
     eig = eigensystem(10, 3.0)
-    state = coherent_state(SpinBasis(11), 1.0, 1.0)
     with pytest.raises(ValueError):
-        expand_in_floquet_basis(state, eig)
+        coherent_weights(SpinBasis(11), eig, [1.0], [1.0])
 
 
 def test_degenerate_gauge_pairing_at_trivial_floquet():
@@ -192,9 +193,8 @@ def test_degenerate_gauge_pairing_at_trivial_floquet():
     eig = eigensystem(j, 0.0, alpha=0.0)
     jz2 = basis.m_values**2
     mm2 = np.real(np.sum(eig.eigenvectors.conj() * (jz2[:, None] * eig.eigenvectors), axis=0))
-    state = coherent_state(basis, 1.1, 0.7)
-    w = expand_in_floquet_basis(state, eig).weights
-    cm2 = np.abs(state.amplitudes) ** 2
+    w = coherent_weights(basis, eig, [1.1], [0.7])[0]
+    cm2 = np.abs(coherent_state_matrix(basis, [1.1], [0.7])[:, 0]) ** 2
     for m in range(j + 1):
         pair = np.abs(mm2 - m * m) < 1e-6
         expected = cm2[j + m] + (cm2[j - m] if m > 0 else 0.0)
@@ -235,22 +235,20 @@ def test_integrable_point_matches_analytic_weights():
 )
 def test_chaotic_equator_state_delocalized_at_symmetric_point():
     eig = eigensystem(150, 7.0)
-    state = coherent_state(SpinBasis(150), np.pi / 2, np.pi)
-    res = fractal_dimensions(expand_in_floquet_basis(state, eig), (1.0, 2.0, np.inf))
-    assert res.dim(2.0) > 0.8
+    _, d = renyi_dimensions(coherent_weights(SpinBasis(150), eig, [np.pi / 2], [np.pi]), (1.0, 2.0, np.inf))
+    assert d[0, 1] > 0.8
 
 
 def test_chaotic_equator_state_delocalized_generic_point():
     eig = eigensystem(150, 7.0)
     basis = SpinBasis(150)
     # the (pi/2, pi) state sits entirely in one parity sector
-    sym = expand_in_floquet_basis(coherent_state(basis, np.pi / 2, np.pi), eig)
-    odd_weight = sym.weights[eig.parities == -1].sum()
+    sym = coherent_weights(basis, eig, [np.pi / 2], [np.pi])[0]
+    odd_weight = sym[eig.parities == -1].sum()
     assert odd_weight < 1e-10
-    for phi in (0.5, 2.0, 4.0):
-        state = coherent_state(basis, np.pi / 2, phi)
-        res = fractal_dimensions(expand_in_floquet_basis(state, eig), (1.0, 2.0, np.inf))
-        assert res.dim(2.0) > 0.8
+    phis = [0.5, 2.0, 4.0]
+    _, d = renyi_dimensions(coherent_weights(basis, eig, np.full(3, np.pi / 2), phis), (1.0, 2.0, np.inf))
+    assert np.all(d[:, 1] > 0.8)
 
 
 def test_field_regular_regime_has_localized_cells():
@@ -332,7 +330,7 @@ def test_scaling_fit_validation():
 
 def test_single_dim_basis_rejected():
     with pytest.raises(ValueError):
-        fractal_dimensions(ExpansionCoefficients(np.array([1.0]), 1), (1.0,))
+        renyi_dimensions(np.array([[1.0]]), (1.0,))
 
 
 def test_negative_q_rejected():

@@ -15,7 +15,6 @@ from kickedtop.spin import (
     SpinBasis,
     angular_momentum,
     coherent_band,
-    coherent_state,
     coherent_state_matrix,
 )
 
@@ -62,25 +61,25 @@ def test_basis_validation():
 
 
 def test_coherent_north_pole():
-    state = coherent_state(SpinBasis(7), 0.0, 2.2)
+    state = coherent_state_matrix(SpinBasis(7), [0.0], [2.2])[:, 0]
     expected = np.zeros(15)
     expected[-1] = 1.0  # m = +j
-    assert np.allclose(state.amplitudes, expected)
+    assert np.allclose(state, expected)
 
 
 def test_coherent_south_pole():
-    state = coherent_state(SpinBasis(7), np.pi, 0.0)
+    state = coherent_state_matrix(SpinBasis(7), [np.pi], [0.0])[:, 0]
     expected = np.zeros(15)
     expected[0] = 1.0  # m = -j
-    assert np.allclose(state.amplitudes, expected)
+    assert np.allclose(state, expected)
 
 
 def test_coherent_jz_expectation():
     j = 10
-    state = coherent_state(SpinBasis(j), np.pi / 3, 1.2)
+    state = coherent_state_matrix(SpinBasis(j), [np.pi / 3], [1.2])[:, 0]
     jz = angular_momentum(SpinBasis(j), "z")
-    mean = (state.amplitudes.conj() @ jz @ state.amplitudes).real / j
-    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+    mean = (state.conj() @ jz @ state).real / j
+    assert abs(np.linalg.norm(state) - 1.0) < 1e-12
     assert abs(mean - 0.5) < 1e-10  # cos(pi/3)
 
 
@@ -90,7 +89,7 @@ def test_normalization_on_grid(j):
     phis = np.linspace(0.0, 2 * np.pi, 20, endpoint=False)
     for theta in thetas:
         for phi in phis:
-            amps = coherent_state(SpinBasis(j), theta, phi).amplitudes
+            amps = coherent_state_matrix(SpinBasis(j), [theta], [phi])[:, 0]
             assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-12
 
 
@@ -100,7 +99,7 @@ def test_bloch_vector_expectations(j):
     basis = SpinBasis(j)
     ops = [angular_momentum(basis, a) for a in "xyz"]
     theta, phi = 1.9, 4.4
-    amps = coherent_state(basis, theta, phi).amplitudes
+    amps = coherent_state_matrix(basis, [theta], [phi])[:, 0]
     vec = np.array([(amps.conj() @ op @ amps).real / j for op in ops])
     target = np.array(
         [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
@@ -110,18 +109,18 @@ def test_bloch_vector_expectations(j):
 
 def test_large_j_no_overflow():
     # (2j)! overflows near j ~ 85; log-space construction must survive
-    amps = coherent_state(SpinBasis(800), 1.3, 0.4).amplitudes
+    amps = coherent_state_matrix(SpinBasis(800), [1.3], [0.4])[:, 0]
     assert np.all(np.isfinite(amps.real)) and np.all(np.isfinite(amps.imag))
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
 
 
 def test_theta_out_of_range():
     with pytest.raises(ValueError):
-        coherent_state(SpinBasis(3), -0.1, 0.0)
+        coherent_state_matrix(SpinBasis(3), [-0.1], [0.0])
     with pytest.raises(ValueError):
-        coherent_state(SpinBasis(3), np.pi + 0.1, 0.0)
+        coherent_state_matrix(SpinBasis(3), [np.pi + 0.1], [0.0])
     with pytest.raises(ValueError):
-        coherent_state(SpinBasis(3), np.nan, 0.0)
+        coherent_state_matrix(SpinBasis(3), [np.nan], [0.0])
     # one bad column among good ones must not come back as a zero column
     for bad in (-0.1, np.pi + 0.1, np.nan):
         with pytest.raises(ValueError):
@@ -131,7 +130,7 @@ def test_theta_out_of_range():
 def test_phi_not_finite():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match=f"phi must be finite, got {bad}"):
-            coherent_state(SpinBasis(3), 1.0, bad)
+            coherent_state_matrix(SpinBasis(3), [1.0], [bad])
         with pytest.raises(ValueError, match="phi"):
             coherent_state_matrix(SpinBasis(3), [1.0, 1.0], [0.0, bad])
 
@@ -189,7 +188,7 @@ def test_batch_matches_single():
     phis = np.array([0.1, 1.0, 2.0, 3.0, 4.0])
     batch = coherent_state_matrix(basis, thetas, phis)
     for k, (theta, phi) in enumerate(zip(thetas, phis)):
-        single = coherent_state(basis, theta, phi).amplitudes
+        single = coherent_state_matrix(basis, [theta], [phi])[:, 0]
         assert np.max(np.abs(batch[:, k] - single)) < 1e-13
 
 
