@@ -2,11 +2,12 @@
 
 Eigendecomposition dominates runtime for parameter scans, so the CLI
 caches each parity sector the first time it is solved, keyed by
-(j, kappa, alpha, sector).  A recipe that needs one sector (``spectrum``)
-reads and writes only that one; one that needs both reads both files and
-solves only a sector whose file is missing.  File layout (all fields
-little-endian, in order), with n the sector dimension (j + 1 for the
-even sector, j for the odd one):
+(j, kappa, alpha, sector).  ``cached_eigensystem`` loads, or solves and
+saves, one sector per call: a recipe that needs one sector (``spectrum``)
+makes one call, and one that needs both makes two and builds their
+``FloquetEigensystem``, so only a sector whose file is missing is
+solved.  File layout (all fields little-endian, in order), with n the
+sector dimension (j + 1 for the even sector, j for the odd one):
 
     offset  size            field
     0       8               magic  b"KTEIGSYS"
@@ -47,15 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .floquet import (
-    _PARITY,
-    SECTORS,
-    FloquetEigensystem,
-    KickedTopParams,
-    SectorEigensystem,
-    _half_dim,
-    diagonalize,
-)
+from .floquet import KickedTopParams, SectorEigensystem, _half_dim, _parity, diagonalize
 from .io import _atomic_write
 
 __all__ = ["cache_path", "save_eigensystem", "load_eigensystem", "cached_eigensystem"]
@@ -79,13 +72,12 @@ def cache_path(cache_dir, params: KickedTopParams, sector: str) -> Path:
     return Path(cache_dir) / f"eig_{cache_key(params)}_{sector}.ktc"
 
 
-def save_eigensystem(path, eig: FloquetEigensystem, sector: str) -> None:
-    """Write the sector 'even' or 'odd' of ``eig`` to ``path``, atomically."""
-    p, block = eig.params, eig.block(sector)
+def save_eigensystem(path, params: KickedTopParams, block: SectorEigensystem) -> None:
+    """Write the parity sector ``block`` of F at ``params`` to ``path``, atomically."""
     parts = [
         HEADER.pack(
-            MAGIC, VERSION, eig.dim, p.j, p.kappa, p.alpha, block.parity, block.degenerate_clusters,
-            block.max_residual,
+            MAGIC, VERSION, 2 * params.j + 1, params.j, params.kappa, params.alpha, block.parity,
+            block.degenerate_clusters, block.max_residual,
         ),
         np.ascontiguousarray(block.vectors, dtype="<f8"),
         np.ascontiguousarray(block.quasienergies, dtype="<f8"),
@@ -96,8 +88,13 @@ def save_eigensystem(path, eig: FloquetEigensystem, sector: str) -> None:
     _atomic_write(path, [*parts, CRC.pack(crc)])
 
 
-def load_eigensystem(path) -> FloquetEigensystem:
-    """Read a cached sector as a one-sector eigensystem; raises CacheFormatError on any mismatch."""
+def load_eigensystem(path, params: KickedTopParams, sector: str) -> SectorEigensystem:
+    """Read the sector 'even' or 'odd' of F at ``params`` from ``path``.
+
+    Raises CacheFormatError on any mismatch, a file of other parameters
+    or of the other sector included.
+    """
+    parity = _parity(sector)
     path = Path(path)
     with open(path, "rb") as fh:
         buf = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
@@ -107,55 +104,48 @@ def load_eigensystem(path) -> FloquetEigensystem:
         raise CacheFormatError(f"{path}: bad magic {bytes(buf[:len(MAGIC)])!r}")
     if buf.size < HEADER.size + CRC.size:
         raise CacheFormatError(f"{path}: truncated file")
-    _, version, dim, j, kappa, alpha, parity, clusters, residual = HEADER.unpack_from(buf)
+    _, version, dim, j, kappa, alpha, stored, clusters, residual = HEADER.unpack_from(buf)
     if version != VERSION:
         raise CacheFormatError(f"{path}: version {version}, expected {VERSION}")
-    if dim != 2 * j + 1 or j != int(j) or parity not in (1, -1):
-        raise CacheFormatError(f"{path}: dim {dim} or parity {parity} inconsistent with j={j}")
-    n = _half_dim(parity, dim)
+    if dim != 2 * j + 1 or j != int(j) or stored not in (1, -1):
+        raise CacheFormatError(f"{path}: dim {dim} or parity {stored} inconsistent with j={j}")
+    n = _half_dim(stored, dim)
     vec_end = HEADER.size + 8 * n * n
     nu_end = vec_end + 8 * n
     if buf.size != nu_end + CRC.size:
         raise CacheFormatError(f"{path}: truncated file")
     if zlib.crc32(buf[: -CRC.size]) != CRC.unpack_from(buf, buf.size - CRC.size)[0]:
         raise CacheFormatError(f"{path}: checksum mismatch")
-    params = KickedTopParams(alpha=float(alpha), kappa=float(kappa), j=int(j))
-    block = SectorEigensystem(
+    if (j, kappa, alpha, stored) != (params.j, params.kappa, params.alpha, parity):
+        raise CacheFormatError(
+            f"{path}: holds parity {stored} of j={j}, kappa={kappa!r}, alpha={alpha!r}, "
+            f"not the {sector} sector of {params}"
+        )
+    return SectorEigensystem(
         parity=parity,
         quasienergies=buf[vec_end:nu_end].view("<f8"),
         vectors=buf[HEADER.size : vec_end].view("<f8").reshape(n, n),
         degenerate_clusters=clusters,
         max_residual=residual,
     )
-    return FloquetEigensystem(sectors=(block,), params=params)
 
 
-def cached_eigensystem(params: KickedTopParams, cache_dir=None, sectors=SECTORS) -> FloquetEigensystem:
-    """Compute (or fetch) the parity sectors ``sectors`` of F's eigensystem.
+def cached_eigensystem(params: KickedTopParams, sector: str, cache_dir=None) -> SectorEigensystem:
+    """The parity sector 'even' or 'odd' of F's eigensystem, computed or fetched.
 
     With ``cache_dir`` set, a valid file for these exact parameters and
-    sector is used when present; only the sectors without one are
-    solved, in one ``diagonalize`` call, and written back.  Unreadable,
-    corrupt, older-format or mismatched files are silently recomputed
-    and overwritten.
+    sector is used when present; otherwise the sector is solved and
+    written back.  Unreadable, corrupt, older-format or mismatched files
+    are silently recomputed and overwritten.
     """
-    found = {}
-    if cache_dir is not None:
-        for sector in sectors:
-            path = cache_path(cache_dir, params, sector)
-            if path.exists():
-                try:
-                    eig = load_eigensystem(path)
-                except (CacheFormatError, OSError):
-                    continue
-                if eig.params == params and eig.sectors[0].parity == _PARITY[sector]:
-                    found[sector] = eig.sectors[0]
-    missing = [s for s in sectors if s not in found]
-    if missing:
-        eig = diagonalize(params, sectors=missing)
-        for sector in missing:
-            found[sector] = eig.block(sector)
-            if cache_dir is not None:
-                save_eigensystem(cache_path(cache_dir, params, sector), eig, sector)
-    blocks = tuple(found[s] for s in SECTORS if s in found)
-    return FloquetEigensystem(sectors=blocks, params=params)
+    if cache_dir is None:
+        return diagonalize(params, sector)
+    path = cache_path(cache_dir, params, sector)
+    if path.exists():
+        try:
+            return load_eigensystem(path, params, sector)
+        except (CacheFormatError, OSError):
+            pass
+    block = diagonalize(params, sector)
+    save_eigensystem(path, params, block)
+    return block

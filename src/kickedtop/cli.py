@@ -52,7 +52,7 @@ from .coeffstats import (
     empirical_log_histogram,
     pool_rescaled,
 )
-from .floquet import SECTORS, DiagonalizationError, KickedTopParams
+from .floquet import SECTORS, DiagonalizationError, FloquetEigensystem, KickedTopParams
 from .io import write_csv, write_manifest
 from .multifractal import averaged_dq, coherent_weights, dq_field, scaling_fit
 from .spectral import fit_brody, ratio_stats, spacings_from_quasienergies
@@ -185,7 +185,13 @@ def add_common(parser):
 
 
 class Run:
-    """Resolved configuration plus bookkeeping for one CLI invocation."""
+    """Resolved configuration plus bookkeeping for one CLI invocation.
+
+    The parity sector is the unit of eigensystem work: ``cached_eigensystem``
+    reads or solves one sector, which is all ``spectrum`` asks for, and
+    ``eigensystem`` builds the full ``FloquetEigensystem`` of a point from
+    two such calls for the coherent-state recipes.
+    """
 
     def __init__(self, args):
         self.args = args
@@ -248,8 +254,9 @@ class Run:
         with ThreadPoolExecutor(max_workers=self.threads) as pool:
             return list(pool.map(compute, range(len(points)), points))
 
-    def eigensystem(self, params, sectors=SECTORS):
-        return cached_eigensystem(params, self.cache, sectors)
+    def eigensystem(self, params) -> FloquetEigensystem:
+        """Both parity sectors of F at ``params``, each read from the cache or solved."""
+        return FloquetEigensystem(tuple(cached_eigensystem(params, s, self.cache) for s in SECTORS), params)
 
     def metadata(self, **extra) -> dict:
         # the thread count does not change the results, so only the manifest has it
@@ -372,7 +379,7 @@ def cmd_spectrum(args) -> int:
     _check_file_names(points)
 
     def one(_, p):
-        nu = run.eigensystem(p, (sector,)).sector(sector)
+        nu = cached_eigensystem(p, sector, run.cache).quasienergies
         ens = spacings_from_quasienergies(nu, periodic=True)
         density, _ = np.histogram(ens.spacings, bins=bins, density=True)
         return p.kappa, fit_brody(ens).beta, ratio_stats(ens.raw_gaps).mean_r, nu.size, density

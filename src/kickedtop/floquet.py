@@ -7,6 +7,12 @@ of dimension j+1 and an odd sector of dimension j (integer j).
 
 Eigenphase convention: F|v> = e^(+i nu)|v> with nu restricted to the
 principal range [-pi, pi).
+
+``diagonalize(params, sector)`` solves one sector into a
+``SectorEigensystem``, the one unit that is solved, cached and loaded.
+Level statistics use one sector; the weights of a coherent state, which
+has no definite parity, need a ``FloquetEigensystem``: both sectors of
+one ``params``, built from two such solves.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ __all__ = [
 
 EVEN, ODD = 1, -1
 SECTORS = ("even", "odd")
-_PARITY = {"even": EVEN, "odd": ODD}
 
 # c in the mixed matrix A + cB; irrational, so the fold point atan(c) of
 # the map nu -> cos(nu) + c sin(nu) is no rational multiple of pi
@@ -40,6 +45,8 @@ _MIX = 0.5 * (np.sqrt(5.0) - 1.0)
 _SPLIT_TOL = 1e-4
 # largest accepted |M o - e^(i nu) o| of a parity block M
 _RESIDUAL_TOL = 1e-9
+# quasienergy gap below which a cluster is degenerate and gets the Jz^2 gauge
+_GAP_TOL = 1e-10
 
 
 class DiagonalizationError(RuntimeError):
@@ -97,22 +104,24 @@ class SectorEigensystem:
 
 @dataclass(frozen=True)
 class FloquetEigensystem:
-    """Parity sectors of F, each kept as solved, and the parameters they solve.
+    """Both parity sectors of F, each kept as solved, and the parameters they solve.
 
-    ``sectors`` holds one or both ``SectorEigensystem``, even before odd,
-    and ``row_phases`` derives the per-row kick phases h = diag K^(1/2)
-    over the Dicke rows -j..j from ``params``.  The eigenvectors of F are
+    ``sectors`` holds the even and then the odd ``SectorEigensystem``, of
+    sizes j+1 and j for the integer j of ``params``; anything else is a
+    ValueError at construction.  ``row_phases`` derives the per-row kick
+    phases h = diag K^(1/2) over the Dicke rows -j..j from ``params``.
+    The eigenvectors of F are
     v_i = diag(h) r_i c_i with r_i real, the mirrored half vector of its
     sector, and c_i a unit phase per column, so weights
     |<v_i|psi>|^2 = |r_i^T (h* psi)|^2 need no complex matrix, and no
     N x N one either: r_i^T y = o_i^T fold(y) (see
     ``multifractal._weight_blocks``).  ``degenerate_clusters`` sums the
     sectors' gauge-fixed clusters (nonzero values flag gauge-dependent
-    downstream quantities) and ``max_residual`` is the largest of their
+    downstream quantities) and ``max_residual`` is the larger of their
     residuals.
 
     ``quasienergies``, ``parities``, ``real_vectors`` and ``eigenvectors``
-    are derived from the sectors held, on each access, for the oracles
+    are derived from the sectors, on each access, for the oracles
     and the library API: their columns are sorted by quasienergy
     ascending, ties even first, and column i is column ``order[i]`` of
     the sectors side by side.  ``parities[i]`` is +1 (even) or -1 (odd).
@@ -120,6 +129,15 @@ class FloquetEigensystem:
 
     sectors: tuple
     params: KickedTopParams
+
+    def __post_init__(self):
+        j = self.params.j
+        if j != int(j):
+            raise ValueError(f"the parity sectors are flip halves for integer j only, got j={j}")
+        got = [(s.parity, s.quasienergies.shape, s.vectors.shape) for s in self.sectors]
+        want = [(EVEN, (j + 1,), (j + 1, j + 1)), (ODD, (j,), (j, j))]
+        if got != want:
+            raise ValueError(f"sectors must be the even and the odd one at j={j}, {want}; got {got}")
 
     @property
     def dim(self) -> int:
@@ -138,14 +156,8 @@ class FloquetEigensystem:
         return max(s.max_residual for s in self.sectors)
 
     def block(self, parity: str) -> SectorEigensystem:
-        """The sector 'even' or 'odd'; ValueError for another name or a sector not held."""
-        if parity not in _PARITY:
-            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-        want = _PARITY[parity]
-        for s in self.sectors:
-            if s.parity == want:
-                return s
-        raise ValueError(f"the {parity} sector of this eigensystem was not solved")
+        """The sector 'even' or 'odd'; ValueError for another name."""
+        return self.sectors[_parity(parity) == ODD]
 
     def sector(self, parity: str) -> np.ndarray:
         """Quasienergies of one parity sector ('even' or 'odd'), sorted (the stored array)."""
@@ -193,6 +205,13 @@ class FloquetEigensystem:
         vecs = r * h[_pivot_rows(r)].conj()
         vecs *= h[:, None]
         return vecs
+
+
+def _parity(sector: str) -> int:
+    """+1 for the sector 'even', -1 for 'odd'; ValueError for another name."""
+    if sector not in SECTORS:
+        raise ValueError(f"sector must be 'even' or 'odd', got {sector!r}")
+    return EVEN if sector == "even" else ODD
 
 
 def _pivot_rows(r: np.ndarray) -> np.ndarray:
@@ -312,26 +331,39 @@ def _split_collision(idx: np.ndarray, o: np.ndarray, ao: np.ndarray, bo: np.ndar
     _rotate(idx, r, o, ao, bo)
 
 
-def _sector_eigensystem(
-    u: np.ndarray,
-    k: np.ndarray,
-    h: np.ndarray,
-    m2: np.ndarray,
-    gap_tol: float,
-    params: KickedTopParams,
-) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Eigenphases and real eigenvectors of one parity block of F'.
+def diagonalize(params: KickedTopParams, sector: str) -> SectorEigensystem:
+    """The parity sector 'even' or 'odd' of F, from one real symmetric eigensolve.
 
-    The block is taken in the sector's flip-half Dicke basis, whose rows
-    m >= 0 carry ``h`` = diag K^(1/2) and ``m2`` = m^2.  ``u`` holds the
-    sector's J_x eigenvectors in that basis and ``k`` their eigenvalues,
+    The sector needs only its own half of J_x, so it costs about half of
+    both.  The kick is split symmetrically, F' = K^(1/2) D(alpha) K^(1/2)
+    with K = exp(-i kappa Jz^2 / 2j), so F = K^(1/2) F' K^(-1/2).  For
+    integer j the parity sectors are the flip halves m -> -m: the even
+    sector has the basis {|0>, (|m> + |-m>)/sqrt2} and the odd one
+    {(|m> - |-m>)/sqrt2}, m = 1..j, and K^(1/2) is diagonal in both.
+    On the sector's rows m >= 0, h = diag K^(1/2) and m2 = m^2; u holds
+    the sector's J_x eigenvectors in that basis and k their eigenvalues,
     so D(alpha) = u diag(e^(-i alpha k)) u^T = C - iS with the real
     C = (u cos(alpha k)) u^T and S = (u sin(alpha k)) u^T, and the block
-    M = diag(h) (C - iS) diag(h) is a complex-symmetric unitary A + iB.
-    A and B are commuting real symmetric matrices, so one real orthogonal
-    O diagonalizes both.  Returns (nu, O, number of gauge-fixed clusters,
-    largest eigen-residual).
+    M = diag(h) (C - iS) diag(h) is a complex-symmetric unitary A + iB
+    (the generalized time reversal of the kicked top).  A and B are
+    commuting real symmetric matrices, so one real orthogonal O
+    diagonalizes both: O comes from eigh(A + cB), phases are read as
+    nu = atan2(o^T B o, o^T A o), and the eigenvectors of F are
+    v = K^(1/2) r with r the mirrored o.  The sector is kept as solved,
+    its nu ascending and its real half block O (``SectorEigensystem``);
+    nothing is mirrored or re-signed.  Quasienergy clusters with
+    internal gaps below ``_GAP_TOL`` get a deterministic gauge from the
+    compressed Jz^2 and are counted in ``degenerate_clusters``.  The
+    block is checked for |M o - e^(i nu) o| before returning; a failure
+    raises DiagonalizationError, and the largest residual is kept as
+    ``max_residual``.
     """
+    parity = _parity(sector)
+    j = params.j
+    with _JX_LOCK:
+        k, u = _jx_half(j, parity)
+    first = int(parity == ODD)  # the odd half starts at m = 1
+    h, m2 = params.half_kick[j + first :], np.arange(first, j + 1.0) ** 2
     c = (u * np.cos(params.alpha * k)) @ u.T
     s = (u * np.sin(params.alpha * k)) @ u.T
     hh = np.multiply.outer(h, h)
@@ -354,7 +386,7 @@ def _sector_eigensystem(
 
     # true degeneracies: fix the gauge by diagonalizing the compressed Jz^2
     # (Jz itself is parity-odd and compresses to zero)
-    clusters = _clusters(nu, gap_tol, wrap=True)
+    clusters = _clusters(nu, _GAP_TOL, wrap=True)
     for idx in clusters:
         q = o[:, idx]
         _, r = np.linalg.eigh(q.T @ (m2[:, None] * q))
@@ -366,48 +398,4 @@ def _sector_eigensystem(
         raise DiagonalizationError(
             f"eigen-residual {worst:.3e} in a parity block of dim={k.size}, params={params}"
         )
-    return nu, o, len(clusters), worst
-
-
-def diagonalize(params: KickedTopParams, gap_tol: float = 1e-10, sectors=SECTORS) -> FloquetEigensystem:
-    """Parity sectors of F, one real symmetric eigensolve per sector asked for.
-
-    ``sectors`` names the sectors to solve, 'even' and/or 'odd'; each
-    needs only its own half of J_x, so one sector costs about half of
-    both.  The kick is split symmetrically, F' = K^(1/2) D(alpha) K^(1/2)
-    with K = exp(-i kappa Jz^2 / 2j), so F = K^(1/2) F' K^(-1/2).  For
-    integer j the parity sectors are the flip halves m -> -m: the even
-    sector has the basis {|0>, (|m> + |-m>)/sqrt2} and the odd one
-    {(|m> - |-m>)/sqrt2}, m = 1..j, and K^(1/2) is diagonal in both.
-    Each parity block of F' is complex symmetric in that real basis (the
-    generalized time reversal of the kicked top), so its eigenvectors o
-    are real: they come from eigh(A + cB), phases are read as
-    nu = atan2(o^T B o, o^T A o), and the eigenvectors of F are
-    v = K^(1/2) r with r the mirrored o.  Each sector is kept as solved,
-    its nu ascending and its real half block O (``SectorEigensystem``),
-    together with ``params``, from which the row phases diag K^(1/2)
-    follow; nothing is mirrored, merged or re-signed.  Quasienergy
-    clusters with internal gaps below ``gap_tol`` get a deterministic
-    gauge from the compressed Jz^2 and are counted in the sector's
-    ``degenerate_clusters``.  Every block is checked for
-    |M o - e^(i nu) o| before returning; a failure raises
-    DiagonalizationError, and the block's largest residual is kept as
-    its ``max_residual``.
-    """
-    if not sectors or not set(sectors) <= set(SECTORS):
-        raise ValueError(f"sectors must name 'even' and/or 'odd', got {sectors!r}")
-    j = params.j
-    h = params.half_kick
-    h_half, m2 = h[j:], np.arange(j + 1.0) ** 2  # on the rows m = 0..j
-    blocks = []
-    for name in SECTORS:
-        if name not in sectors:
-            continue
-        parity = _PARITY[name]
-        with _JX_LOCK:
-            k, u = _jx_half(j, parity)
-        first = int(parity == ODD)  # the odd half starts at m = 1
-        nu, o, clusters, residual = _sector_eigensystem(u, k, h_half[first:], m2[first:], gap_tol, params)
-        blocks.append(SectorEigensystem(parity, nu, o, clusters, residual))
-    return FloquetEigensystem(sectors=tuple(blocks), params=params)
-
+    return SectorEigensystem(parity, nu, o, len(clusters), worst)

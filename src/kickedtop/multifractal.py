@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classical import GridSpec, haar_sphere, rng_for_task
-from .floquet import ODD, FloquetEigensystem
+from .floquet import FloquetEigensystem
 from .spin import SpinBasis, coherent_band
 
 __all__ = [
@@ -135,8 +135,7 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
     coherent states; ``weights[r]`` belongs to input state ``indices[r]``,
     its columns the sectors' eigenvectors side by side, each sector in
     its stored order.  ``weights`` is a work array that the next block
-    overwrites.  The eigensystem must be of integer j (odd dimension),
-    as every ``KickedTopParams`` is; an even dimension is a ValueError.
+    overwrites.
 
     Since v_i = diag(h) r_i c_i with r_i real, |<v_i|psi>| = |r_i^T y|
     with y = h* psi, and r_i is the mirror of its sector's half vector
@@ -153,8 +152,6 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
     """
     if basis.dim != eig.dim:
         raise ValueError(f"dimension mismatch: states dim {basis.dim}, eigenbasis dim {eig.dim}")
-    if eig.dim % 2 == 0:
-        raise ValueError(f"even eigensystem dimension {eig.dim}: the sectors fold for integer j only")
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
     if thetas.ndim != 1 or thetas.shape != phis.shape:
@@ -165,15 +162,12 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
     h = eig.row_phases
     row_factor = h.conj() * np.sqrt(0.5)
     row_factor[c] = h[c].conj()  # m = 0 is its own mirror
-    halves = np.zeros((c + 1, sum(s.quasienergies.size for s in eig.sectors)))
-    placed, col = [], 0  # (first row, columns) per sector
-    for s in eig.sectors:
-        first, size = int(s.parity == ODD), s.quasienergies.size  # the odd half starts at m = 1
-        halves[first : first + size, col : col + size] = s.vectors
-        placed.append((first, slice(col, col + size)))
-        col += size
-    weights = np.empty((BLOCK_STATES, col))
-    product = np.empty((2 * BLOCK_STATES, col))
+    even, odd = eig.sectors
+    halves = np.zeros((c + 1, n))  # the even half on the rows m = 0..j, the odd one on m = 1..j
+    halves[:, : c + 1] = even.vectors
+    halves[1:, c + 1 :] = odd.vectors
+    weights = np.empty((BLOCK_STATES, n))
+    product = np.empty((2 * BLOCK_STATES, n))
     work = np.empty(n * BLOCK_STATES, dtype=complex)
     for start in range(0, order.size, BLOCK_STATES):
         idx = order[start : start + BLOCK_STATES]
@@ -184,9 +178,8 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
         if anti is None:
             np.matmul(fold.view(float).T, halves[r0 : r0 + len(fold)], out=p)
         else:
-            for first, cols in placed:
-                f = anti if first else fold
-                np.matmul(f.view(float).T, halves[first : first + len(f), cols], out=p[:, cols])
+            np.matmul(fold.view(float).T, halves[: len(fold), : c + 1], out=p[:, : c + 1])
+            np.matmul(anti.view(float).T, halves[1 : 1 + len(anti), c + 1 :], out=p[:, c + 1 :])
         p *= p
         w = weights[: idx.size]
         np.add(p[0::2], p[1::2], out=w)

@@ -23,7 +23,7 @@ from kickedtop.classical import (
     _step_batch,
 )
 from kickedtop.coeffstats import chisq_cdf, chisq_pdf, distance_report, pool_rescaled
-from kickedtop.floquet import KickedTopParams, diagonalize
+from kickedtop.floquet import SECTORS, FloquetEigensystem, KickedTopParams, diagonalize
 from kickedtop.multifractal import averaged_dq, expand_states, renyi_dimensions, scaling_fit
 from kickedtop.spectral import (
     SpacingEnsemble,
@@ -44,7 +44,7 @@ def report(number, label, ok, detail):
 
 def eigensystem(j, kappa, alpha=ALPHA):
     p = KickedTopParams(alpha=alpha, kappa=kappa, j=j)
-    return diagonalize(p)
+    return FloquetEigensystem(tuple(diagonalize(p, s) for s in SECTORS), p)
 
 
 # ------------------------------------------------------------------ fixtures
@@ -451,7 +451,7 @@ def test_criterion_8_property_suite():
     small_ok = True
     for j in (1, 2, 3):
         pj = KickedTopParams(alpha=ALPHA, kappa=7.0, j=j)
-        eig = diagonalize(pj)
+        eig = FloquetEigensystem(tuple(diagonalize(pj, s) for s in SECTORS), pj)
         small_ok &= (
             np.max(np.abs(np.sort(eig.quasienergies) - char_poly_phases(dense_floquet(pj)))) < 1e-10
         )

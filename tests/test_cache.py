@@ -13,14 +13,22 @@ from kickedtop.cache import (
     load_eigensystem,
     save_eigensystem,
 )
-from kickedtop.floquet import KickedTopParams, diagonalize
+from kickedtop.floquet import SECTORS, FloquetEigensystem, KickedTopParams, diagonalize
 
 PARAMS = KickedTopParams(alpha=4 * np.pi / 7, kappa=3.0, j=12)
-SECTORS = ("even", "odd")
+
+
+def solve(params):
+    return FloquetEigensystem(tuple(diagonalize(params, s) for s in SECTORS), params)
 
 
 def fresh_eigensystem():
-    return diagonalize(PARAMS)
+    return solve(PARAMS)
+
+
+def cached_both(params, cache_dir):
+    """Both sectors from two ``cached_eigensystem`` calls, as the CLI builds them."""
+    return FloquetEigensystem(tuple(cached_eigensystem(params, s, cache_dir) for s in SECTORS), params)
 
 
 def buffer_of(a):
@@ -31,9 +39,8 @@ def buffer_of(a):
 
 def assert_sector_file(path, sector):
     """``path`` holds a valid format-4 file of this sector of PARAMS."""
-    loaded = load_eigensystem(path)
-    assert loaded.params == PARAMS
-    assert [b.parity for b in loaded.sectors] == [1 if sector == "even" else -1]
+    loaded = load_eigensystem(path, PARAMS, sector)
+    assert loaded.parity == (1 if sector == "even" else -1)
     assert int.from_bytes(path.read_bytes()[8:12], "little") == cache.VERSION == 4
 
 
@@ -43,54 +50,69 @@ def test_round_trip(tmp_path):
     assert cache.HEADER.size == 56  # the format-3 header with the parity in its padding
     for sector, n in zip(SECTORS, (13, 12)):
         path = cache_path(tmp_path, PARAMS, sector)
-        save_eigensystem(path, eig, sector)
+        save_eigensystem(path, PARAMS, eig.block(sector))
         assert path.stat().st_size == cache.HEADER.size + 8 * n * n + 8 * n + 4
-        loaded = load_eigensystem(path)
-        assert loaded.params == PARAMS
-        assert np.array_equal(loaded.row_phases, eig.row_phases)
-        (got,), want = loaded.sectors, eig.block(sector)
+        got, want = load_eigensystem(path, PARAMS, sector), eig.block(sector)
         assert got.parity == want.parity
         assert got.vectors.dtype == np.float64 and got.vectors.shape == (n, n)
         assert np.array_equal(got.vectors, want.vectors)
         assert np.array_equal(got.quasienergies, want.quasienergies)
         assert got.degenerate_clusters == want.degenerate_clusters
         assert got.max_residual == want.max_residual
-        assert np.array_equal(loaded.sector(sector), eig.sector(sector))
         # O and nu are used in place: views of the one buffer the file was read into
         buf = buffer_of(got.vectors)
         assert buf.dtype == np.uint8 and buf.size == path.stat().st_size
         assert buffer_of(got.quasienergies) is buf
-    both = cached_eigensystem(PARAMS, tmp_path)
+    both = cached_both(PARAMS, tmp_path)
+    assert np.array_equal(both.row_phases, eig.row_phases)
     assert np.array_equal(both.eigenvectors, eig.eigenvectors)
     assert np.array_equal(both.quasienergies, eig.quasienergies)
     assert np.array_equal(both.parities, eig.parities)
     assert both.max_residual == eig.max_residual
 
 
+@pytest.mark.parametrize("params", [PARAMS, KickedTopParams(alpha=0.25, kappa=7.0, j=3)])
+def test_saved_bytes_follow_format_4_layout(tmp_path, params):
+    # the documented layout packed by hand: header, O row-major, nu, CRC-32 of all before it
+    for sector, parity in zip(SECTORS, (1, -1)):
+        block = diagonalize(params, sector)
+        n = params.j + (parity == 1)
+        assert block.vectors.shape == (n, n)
+        head = struct.pack(
+            "<8sIIdddiId", b"KTEIGSYS", 4, 2 * params.j + 1, float(params.j), params.kappa, params.alpha,
+            parity, block.degenerate_clusters, block.max_residual,
+        )
+        body = head + block.vectors.astype("<f8").tobytes(order="C") + block.quasienergies.astype("<f8").tobytes()
+        path = tmp_path / f"{sector}.ktc"
+        save_eigensystem(path, params, block)
+        assert path.read_bytes() == body + struct.pack("<I", zlib.crc32(body))
+        assert len(body) + 4 == 8 * n * n + 8 * n + 60
+
+
 def test_cached_eigensystem_hits_cache(tmp_path):
-    first = cached_eigensystem(PARAMS, tmp_path)
+    first = cached_both(PARAMS, tmp_path)
     paths = [cache_path(tmp_path, PARAMS, s) for s in SECTORS]
     assert all(p.exists() for p in paths)
     mtimes = [p.stat().st_mtime_ns for p in paths]
-    second = cached_eigensystem(PARAMS, tmp_path)
+    second = cached_both(PARAMS, tmp_path)
     assert [p.stat().st_mtime_ns for p in paths] == mtimes  # not rewritten
     assert np.array_equal(first.quasienergies, second.quasienergies)
     assert np.array_equal(first.eigenvectors, second.eigenvectors)
 
 
 def test_one_sector_written_and_read_alone(tmp_path, monkeypatch):
-    odd = cached_eigensystem(PARAMS, tmp_path, ("odd",))
-    assert [b.parity for b in odd.sectors] == [-1]
+    odd = cached_eigensystem(PARAMS, "odd", tmp_path)
+    assert odd.parity == -1
     assert [p.name for p in tmp_path.iterdir()] == [cache_path(tmp_path, PARAMS, "odd").name]
     solved = []
 
-    def spy(params, sectors):
-        solved.append(sectors)
-        return diagonalize(params, sectors=sectors)
+    def spy(params, sector):
+        solved.append(sector)
+        return diagonalize(params, sector)
 
     monkeypatch.setattr(cache, "diagonalize", spy)
-    both = cached_eigensystem(PARAMS, tmp_path)
-    assert solved == [["even"]]  # the odd sector came from its file
+    both = cached_both(PARAMS, tmp_path)
+    assert solved == ["even"]  # the odd sector came from its file
     assert [b.parity for b in both.sectors] == [1, -1]
     assert np.array_equal(both.quasienergies, fresh_eigensystem().quasienergies)
 
@@ -105,28 +127,28 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "eig_bogus.ktc"
     path.write_bytes(b"NOTACACHE" + b"\x00" * 64)
     with pytest.raises(CacheFormatError):
-        load_eigensystem(path)
+        load_eigensystem(path, PARAMS, "even")
 
 
 def test_version_mismatch_rejected(tmp_path):
     path = cache_path(tmp_path, PARAMS, "even")
-    save_eigensystem(path, fresh_eigensystem(), "even")
+    save_eigensystem(path, PARAMS, diagonalize(PARAMS, "even"))
     blob = bytearray(path.read_bytes())
     blob[8:12] = (99).to_bytes(4, "little")
     path.write_bytes(bytes(blob))
     with pytest.raises(CacheFormatError):
-        load_eigensystem(path)
+        load_eigensystem(path, PARAMS, "even")
 
 
 def test_truncated_file_rejected(tmp_path):
     eig = fresh_eigensystem()
     for sector in SECTORS:
         path = cache_path(tmp_path, PARAMS, sector)
-        save_eigensystem(path, eig, sector)
+        save_eigensystem(path, PARAMS, eig.block(sector))
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(CacheFormatError, match="truncated"):
-            load_eigensystem(path)
-    again = cached_eigensystem(PARAMS, tmp_path)
+            load_eigensystem(path, PARAMS, sector)
+    again = cached_both(PARAMS, tmp_path)
     assert np.array_equal(again.quasienergies, eig.quasienergies)
     for sector in SECTORS:
         assert_sector_file(cache_path(tmp_path, PARAMS, sector), sector)  # overwritten
@@ -135,28 +157,28 @@ def test_truncated_file_rejected(tmp_path):
 def test_corrupt_cache_recomputed(tmp_path):
     path = cache_path(tmp_path, PARAMS, "even")
     path.write_bytes(b"garbage")
-    eig = cached_eigensystem(PARAMS, tmp_path)
+    eig = cached_both(PARAMS, tmp_path)
     assert eig.dim == 25
     assert_sector_file(path, "even")  # overwritten with good data
 
 
 def test_no_cache_dir_works():
-    eig = cached_eigensystem(PARAMS, None)
+    eig = cached_both(PARAMS, None)
     assert eig.dim == 25
-    assert cached_eigensystem(PARAMS, None, ("odd",)).sector("odd").size == 12
+    assert cached_eigensystem(PARAMS, "odd").quasienergies.size == 12
 
 
 def test_degenerate_clusters_round_trip(tmp_path):
     params = KickedTopParams(alpha=4 * np.pi / 7, kappa=0.0, j=30)
-    eig = diagonalize(params)
+    eig = solve(params)
     assert eig.degenerate_clusters > 0
     for sector in SECTORS:
         path = cache_path(tmp_path, params, sector)
-        save_eigensystem(path, eig, sector)
-        loaded = load_eigensystem(path)
+        save_eigensystem(path, params, eig.block(sector))
+        loaded = load_eigensystem(path, params, sector)
         assert loaded.degenerate_clusters == eig.block(sector).degenerate_clusters
         assert loaded.max_residual == eig.block(sector).max_residual
-    both = cached_eigensystem(params, tmp_path)
+    both = cached_both(params, tmp_path)
     assert both.degenerate_clusters == eig.degenerate_clusters
     assert both.max_residual == eig.max_residual
 
@@ -167,13 +189,13 @@ def test_flipped_eigenvector_byte_detected(tmp_path):
     for sector in SECTORS:
         path = cache_path(tmp_path, PARAMS, sector)
         for offset in (cache.HEADER.size + 100, 28, -2):
-            save_eigensystem(path, reference, sector)
+            save_eigensystem(path, PARAMS, reference.block(sector))
             blob = bytearray(path.read_bytes())
             blob[offset] ^= 0x01
             path.write_bytes(bytes(blob))
             with pytest.raises(CacheFormatError, match="checksum"):
-                load_eigensystem(path)
-            eig = cached_eigensystem(PARAMS, tmp_path)
+                load_eigensystem(path, PARAMS, sector)
+            eig = cached_both(PARAMS, tmp_path)
             assert np.array_equal(eig.eigenvectors, reference.eigenvectors)
             assert_sector_file(path, sector)  # overwritten
 
@@ -185,12 +207,31 @@ def test_header_of_other_sector_or_params_is_a_miss(tmp_path, sector):
     other_params = KickedTopParams(alpha=PARAMS.alpha, kappa=3.5, j=12)
     path = cache_path(tmp_path, PARAMS, sector)
     for params, stored in ((PARAMS, other), (other_params, sector)):
-        save_eigensystem(path, diagonalize(params), stored)
-        load_eigensystem(path)  # a valid file, of the wrong sector or params
-        got = cached_eigensystem(PARAMS, tmp_path, (sector,))
-        assert np.array_equal(got.sector(sector), eig.sector(sector))
-        assert np.array_equal(got.block(sector).vectors, eig.block(sector).vectors)
+        save_eigensystem(path, params, diagonalize(params, stored))
+        load_eigensystem(path, params, stored)  # a valid file, of another sector or other params
+        with pytest.raises(CacheFormatError, match=f"not the {sector} sector"):
+            load_eigensystem(path, PARAMS, sector)
+        got = cached_eigensystem(PARAMS, sector, tmp_path)
+        assert np.array_equal(got.quasienergies, eig.sector(sector))
+        assert np.array_equal(got.vectors, eig.block(sector).vectors)
         assert_sector_file(path, sector)  # overwritten
+
+
+def test_header_outside_the_parameter_domain_is_a_miss(tmp_path):
+    # a well-formed file whose header alpha lies outside [0, 2pi) names no
+    # KickedTopParams; it is another point's file, so a miss, not a crash
+    block = diagonalize(PARAMS, "even")
+    path = cache_path(tmp_path, PARAMS, "even")
+    blob = b"".join([
+        cache.HEADER.pack(cache.MAGIC, cache.VERSION, 25, 12.0, 3.0, 7.0, 1, 0, block.max_residual),
+        block.vectors.astype("<f8").tobytes(),
+        block.quasienergies.astype("<f8").tobytes(),
+    ])
+    path.write_bytes(blob + cache.CRC.pack(zlib.crc32(blob)))
+    with pytest.raises(CacheFormatError, match="alpha=7.0, not the even sector"):
+        load_eigensystem(path, PARAMS, "even")
+    assert np.array_equal(cached_eigensystem(PARAMS, "even", tmp_path).vectors, block.vectors)
+    assert_sector_file(path, "even")  # overwritten
 
 
 def test_header_of_half_integer_j_is_rejected(tmp_path):
@@ -204,7 +245,7 @@ def test_header_of_half_integer_j_is_rejected(tmp_path):
     ])
     path.write_bytes(blob + cache.CRC.pack(zlib.crc32(blob)))
     with pytest.raises(CacheFormatError, match="inconsistent with j=1.5"):
-        load_eigensystem(path)
+        load_eigensystem(path, PARAMS, "even")
 
 
 def write_v1(path, eig):
@@ -225,8 +266,8 @@ def test_v1_file_recomputed(tmp_path):
     path = cache_path(tmp_path, PARAMS, "even")
     write_v1(path, eig)
     with pytest.raises(CacheFormatError, match="version 1"):
-        load_eigensystem(path)
-    again = cached_eigensystem(PARAMS, tmp_path)
+        load_eigensystem(path, PARAMS, "even")
+    again = cached_both(PARAMS, tmp_path)
     assert np.array_equal(again.quasienergies, eig.quasienergies)
     assert_sector_file(path, "even")
 
@@ -248,11 +289,11 @@ def test_v2_file_recomputed_as_v4(tmp_path):
     path = cache_path(tmp_path, PARAMS, "odd")
     write_v2(path, eig)
     with pytest.raises(CacheFormatError, match="version 2"):
-        load_eigensystem(path)
-    again = cached_eigensystem(PARAMS, tmp_path)
+        load_eigensystem(path, PARAMS, "odd")
+    again = cached_both(PARAMS, tmp_path)
     assert np.array_equal(again.block("odd").vectors, eig.block("odd").vectors)
     assert_sector_file(path, "odd")
-    assert np.array_equal(load_eigensystem(path).block("odd").vectors, eig.block("odd").vectors)
+    assert np.array_equal(load_eigensystem(path, PARAMS, "odd").vectors, eig.block("odd").vectors)
 
 
 def write_v3(path, eig):
@@ -274,14 +315,14 @@ def test_v3_file_is_a_miss(tmp_path, sector):
     path = cache_path(tmp_path, PARAMS, sector)
     write_v3(path, eig)
     with pytest.raises(CacheFormatError, match="version 3"):
-        load_eigensystem(path)
-    again = cached_eigensystem(PARAMS, tmp_path, (sector,))
-    assert np.array_equal(again.sector(sector), eig.sector(sector))
+        load_eigensystem(path, PARAMS, sector)
+    again = cached_eigensystem(PARAMS, sector, tmp_path)
+    assert np.array_equal(again.quasienergies, eig.sector(sector))
     assert_sector_file(path, sector)
 
 
 def test_save_leaves_no_temporary_files(tmp_path):
-    cached_eigensystem(PARAMS, tmp_path)
+    cached_both(PARAMS, tmp_path)
     assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
         cache_path(tmp_path, PARAMS, s).name for s in SECTORS
     )
@@ -290,7 +331,15 @@ def test_save_leaves_no_temporary_files(tmp_path):
 @pytest.mark.parametrize("name", ["Even", "both", "", "ODD"])
 def test_unknown_sector_name_is_a_value_error(tmp_path, name):
     eig = fresh_eigensystem()
-    for call in (eig.block, eig.sector, lambda s: save_eigensystem(tmp_path / "x.ktc", eig, s)):
+    calls = (
+        eig.block,
+        eig.sector,
+        lambda s: diagonalize(PARAMS, s),
+        lambda s: load_eigensystem(tmp_path / "x.ktc", PARAMS, s),
+        lambda s: cached_eigensystem(PARAMS, s, tmp_path),
+        lambda s: cached_eigensystem(PARAMS, s),
+    )
+    for call in calls:
         with pytest.raises(ValueError, match="'even' or 'odd'"):
             call(name)
     assert list(tmp_path.iterdir()) == []

@@ -144,7 +144,7 @@ def test_coeffdist_small(tmp_path):
 def test_coeffdist_cdf_and_zeros_recomputed(tmp_path, threads):
     from kickedtop.classical import haar_sphere, rng_for_task
     from kickedtop.cli import ALPHA_DEFAULT
-    from kickedtop.floquet import KickedTopParams, diagonalize
+    from kickedtop.floquet import SECTORS, FloquetEigensystem, KickedTopParams, diagonalize
     from kickedtop.multifractal import coherent_weights
 
     assert run("coeffdist", "--j-list", "15", "--kappa", "1,6", "--samples", "400",
@@ -152,7 +152,8 @@ def test_coeffdist_cdf_and_zeros_recomputed(tmp_path, threads):
     for idx, (kappa, tag) in enumerate([(1.0, "1"), (6.0, "6")]):  # task index = point order
         p = KickedTopParams(alpha=ALPHA_DEFAULT, kappa=kappa, j=15)
         theta, phi = haar_sphere(400, rng_for_task(0, idx))
-        w = coherent_weights(p.basis, diagonalize(p), theta, phi)
+        eig = FloquetEigensystem(tuple(diagonalize(p, s) for s in SECTORS), p)
+        w = coherent_weights(p.basis, eig, theta, phi)
         x = (w * w.shape[1]).ravel()
         xs = np.sort(x[x > 0])
         _, cdf = read_csv(tmp_path / f"cdf_j15_kappa{tag}.csv")
@@ -260,7 +261,7 @@ def no_eigensystem(monkeypatch):
     """Fail any attempt to build or load an eigensystem."""
     from kickedtop import cli
 
-    def refuse(params, cache_dir=None, sectors=None):
+    def refuse(params, sector, cache_dir=None):
         raise AssertionError("an eigensystem was requested")
 
     monkeypatch.setattr(cli, "cached_eigensystem", refuse)
@@ -414,16 +415,16 @@ def test_usage_error_two_points_one_file_name(tmp_path, capsys, no_eigensystem, 
 
 
 def test_spectrum_fill_serves_dq_recipes(tmp_path, monkeypatch):
-    from kickedtop import floquet
+    from kickedtop import cache
 
     solved = []
-    solve = floquet._sector_eigensystem
+    solve = cache.diagonalize
 
-    def spy(u, k, h, m2, gap_tol, params):
-        solved.append((params.j, "even" if k.size == params.j + 1 else "odd"))
-        return solve(u, k, h, m2, gap_tol, params)
+    def spy(params, sector):
+        solved.append((params.j, sector))
+        return solve(params, sector)
 
-    monkeypatch.setattr(floquet, "_sector_eigensystem", spy)
+    monkeypatch.setattr(cache, "diagonalize", spy)
     out = tmp_path / "filled"
     assert run("spectrum", "--j", "30", "--kappa", "7", "--out", out) == 0
     assert solved == [(30, "even")]
@@ -443,7 +444,7 @@ def test_failed_task_cancels_queued_tasks(monkeypatch, tmp_path):
 
     calls = []
 
-    def fail(params, cache_dir=None, sectors=None):
+    def fail(params, sector, cache_dir=None):
         calls.append(params.kappa)
         if len(calls) > 1:
             time.sleep(0.2)  # long enough for the driver to cancel what is still queued
@@ -540,7 +541,7 @@ def test_numerical_failure_exit_code(monkeypatch, tmp_path):
     from kickedtop import cli
     from kickedtop.floquet import DiagonalizationError
 
-    def boom(params, cache_dir=None, sectors=None):
+    def boom(params, sector, cache_dir=None):
         raise DiagonalizationError("synthetic eigensolver failure")
 
     monkeypatch.setattr(cli, "cached_eigensystem", boom)

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,15 +12,19 @@ from scipy.optimize import linear_sum_assignment
 
 from kickedtop import floquet
 from kickedtop.classical import _step_batch
-from kickedtop.floquet import KickedTopParams, diagonalize
+from kickedtop.floquet import SECTORS, FloquetEigensystem, KickedTopParams, SectorEigensystem, diagonalize
 from kickedtop.spin import SpinBasis, angular_momentum, coherent_state_matrix, jx_tridiagonal
 
 ALPHA = 4 * np.pi / 7
 
 
+def solve(params):
+    """Both parity sectors of F at ``params``, one ``diagonalize`` call each."""
+    return FloquetEigensystem(tuple(diagonalize(params, s) for s in SECTORS), params)
+
+
 def eigensystem(j, kappa, alpha=ALPHA):
-    params = KickedTopParams(alpha=alpha, kappa=kappa, j=j)
-    return diagonalize(params)
+    return solve(KickedTopParams(alpha=alpha, kappa=kappa, j=j))
 
 
 def circle_distance(nu, reference):
@@ -123,7 +128,7 @@ def test_diagonalize_identity_floquet():
 
 def test_small_matrix_vs_characteristic_polynomial():
     params = KickedTopParams(alpha=ALPHA, kappa=3.0, j=2)
-    eig = diagonalize(params)
+    eig = solve(params)
     oracle = char_poly_phases(dense_floquet(params))
     assert np.max(np.abs(np.sort(eig.quasienergies) - oracle)) < 1e-10
 
@@ -131,7 +136,7 @@ def test_small_matrix_vs_characteristic_polynomial():
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_small_j_eigenphases_bruteforce(j):
     params = KickedTopParams(alpha=ALPHA, kappa=7.0, j=j)
-    eig = diagonalize(params)
+    eig = solve(params)
     assert np.max(np.abs(np.sort(eig.quasienergies) - char_poly_phases(dense_floquet(params)))) < 1e-10
 
 
@@ -176,7 +181,7 @@ def test_degenerate_clusters_resolved():
 def test_two_diagonalization_routes_agree():
     # brute-force oracle: a general complex eigensolver on the dense F
     params = KickedTopParams(alpha=ALPHA, kappa=3.0, j=60)
-    eig = diagonalize(params)
+    eig = solve(params)
     z, vecs = sla.eig(dense_floquet(params))
     assert circle_distance(eig.quasienergies, z) < 1e-8
     pexp = np.real(np.sum(vecs.conj() * (flip(params.basis.dim) @ vecs), axis=0))
@@ -190,7 +195,7 @@ def test_phases_folding_at_pi_match_oracle():
     # alpha = pi/2, kappa = 0: phases sit on -pi/2, 0, pi/2 and the branch
     # cut at -pi, where the oracle may report +pi
     params = KickedTopParams(alpha=np.pi / 2, kappa=0.0, j=9)
-    eig = diagonalize(params)
+    eig = solve(params)
     assert circle_distance(eig.quasienergies, sla.eigvals(dense_floquet(params))) < 1e-10
     assert np.all(eig.quasienergies >= -np.pi) and np.all(eig.quasienergies < np.pi)
 
@@ -203,7 +208,7 @@ def test_phases_folding_at_pi_match_oracle():
 )
 def test_diagonalize_properties(alpha, kappa, j):
     params = KickedTopParams(alpha=alpha, kappa=kappa, j=j)
-    eig = diagonalize(params)
+    eig = solve(params)
     f = dense_floquet(params)
     v = eig.eigenvectors
     residual = np.linalg.norm(f @ v - v * np.exp(1j * eig.quasienergies), axis=0)
@@ -239,7 +244,7 @@ def test_collision_split(monkeypatch, alpha):
     monkeypatch.setattr(floquet, "_split_collision", spy)
     j = 20
     params = KickedTopParams(alpha=alpha, kappa=0.0, j=j)
-    eig = diagonalize(params)
+    eig = solve(params)
     assert sizes and max(sizes) >= 2
     f = dense_floquet(params)
     residual = f @ eig.eigenvectors - eig.eigenvectors * np.exp(1j * eig.quasienergies)
@@ -263,7 +268,7 @@ def test_eigensystem_stores_only_real_matrices():
     # v = diag(h) R diag(c): R real and sign-fixed at the pivot, h = diag K^(1/2);
     # each sector stores one real matrix, its half vectors, and R is derived from them
     params = KickedTopParams(alpha=ALPHA, kappa=7.0, j=40)
-    eig = diagonalize(params)
+    eig = solve(params)
 
     def matrices(obj):
         fields = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
@@ -345,12 +350,12 @@ def test_diagonalize_solves_jx_once_across_threads():
     def solve_all(sectors):
         barrier = threading.Barrier(n_threads)
 
-        def solve(i):
+        def solve_sectors(i):
             barrier.wait()
-            return diagonalize(KickedTopParams(alpha=ALPHA, kappa=1.0 + i, j=250), sectors=sectors)
+            return [diagonalize(KickedTopParams(alpha=ALPHA, kappa=1.0 + i, j=250), s) for s in sectors]
 
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(solve, range(n_threads)))
+            return list(pool.map(solve_sectors, range(n_threads)))
 
     solve_all(("odd",))
     assert floquet._jx_half.cache_info().misses == 1
@@ -361,24 +366,37 @@ def test_diagonalize_solves_jx_once_across_threads():
 @pytest.mark.parametrize("j,kappa", [(1, 7.0), (30, 0.0), (60, 3.0)])
 def test_one_sector_solve_matches_both(j, kappa):
     params = KickedTopParams(alpha=ALPHA, kappa=kappa, j=j)
-    both = diagonalize(params)
+    both = solve(params)
     for sector in ("even", "odd"):
         floquet._jx_half.cache_clear()
-        one = diagonalize(params, sectors=(sector,))
+        got = diagonalize(params, sector)
         assert floquet._jx_half.cache_info().currsize == 1  # only this sector's J_x half
-        assert len(one.sectors) == 1
-        (got,), want = one.sectors, both.block(sector)
+        want = both.block(sector)
         assert np.array_equal(got.quasienergies, want.quasienergies)
         assert np.array_equal(got.vectors, want.vectors)
         assert got.max_residual == want.max_residual
         assert got.degenerate_clusters == want.degenerate_clusters
         # bit-identical to the sector of the derived, sorted full spectrum
-        assert np.array_equal(one.sector(sector), np.sort(both.quasienergies[both.parities == got.parity]))
-        with pytest.raises(ValueError, match="not solved"):
-            one.sector("odd" if sector == "even" else "even")
-    for bad in ((), ("even", "both")):
-        with pytest.raises(ValueError, match="sectors"):
-            diagonalize(params, sectors=bad)
+        assert np.array_equal(got.quasienergies, np.sort(both.quasienergies[both.parities == got.parity]))
+
+
+def test_eigensystem_holds_both_sectors_of_integer_j():
+    # a FloquetEigensystem is the even and the odd sector of one integer j;
+    # one sector alone would give coherent-state weights that sum to 1/2
+    params = KickedTopParams(alpha=ALPHA, kappa=7.0, j=20)
+    even, odd = diagonalize(params, "even"), diagonalize(params, "odd")
+    assert FloquetEigensystem((even, odd), params).dim == 41
+    smaller = diagonalize(KickedTopParams(alpha=ALPHA, kappa=7.0, j=19), "odd")
+    ragged = SectorEigensystem(1, np.zeros(20), np.eye(21))
+    for sectors in ((even,), (odd,), (even, even), (odd, odd), (odd, even), (even, odd, odd), (even, smaller),
+                    (ragged, odd)):
+        with pytest.raises(ValueError, match="the even and the odd one at j=20"):
+            FloquetEigensystem(sectors, params)
+    # KickedTopParams admits integer j only, so a stand-in carries j = 7.5
+    half = types.SimpleNamespace(j=7.5, half_kick=np.ones(16, dtype=complex))
+    blocks = tuple(SectorEigensystem(parity, np.zeros(8), np.eye(8)) for parity in (1, -1))
+    with pytest.raises(ValueError, match="integer j only, got j=7.5"):
+        FloquetEigensystem(blocks, half)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.4, 7.0])
@@ -394,7 +412,7 @@ def test_eigenvectors_exactly_flip_symmetric(j, kappa):
 def test_sectors_match_full_row_oracle(j, kappa):
     # each sector block in the full-row J_x basis: W = b^T K^(1/2) b, M = W diag(e^(-i alpha k)) W
     params = KickedTopParams(alpha=ALPHA, kappa=kappa, j=j)
-    eig = diagonalize(params)
+    eig = solve(params)
     k, v = dense_jx(params.basis)
     for parity, cols in (("even", slice(0, None, 2)), ("odd", slice(1, None, 2))):
         b = v[:, cols]
@@ -414,7 +432,7 @@ def test_evolve_norm_and_classical_tracking():
     # time ~ ln(sqrt(j))/lambda, about 2 kicks at j=50, kappa=7
     j, theta0, phi0 = 50, 2.0, 0.8
     params = KickedTopParams(alpha=ALPHA, kappa=7.0, j=j)
-    eig = diagonalize(params)
+    eig = solve(params)
     v, nu = eig.eigenvectors, eig.quasienergies
 
     def evolve(psi, n_kicks):

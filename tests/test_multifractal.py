@@ -1,5 +1,4 @@
 import functools
-import types
 from math import lgamma
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kickedtop.classical import GridSpec, haar_sphere, rng_for_task
-from kickedtop.floquet import FloquetEigensystem, KickedTopParams, SectorEigensystem, diagonalize
+from kickedtop.floquet import SECTORS, FloquetEigensystem, KickedTopParams, SectorEigensystem, diagonalize
 from kickedtop.multifractal import (
     BLOCK_STATES,
     WEIGHT_CUTOFF,
@@ -27,7 +26,7 @@ QGRID = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, np.inf)
 
 def eigensystem(j, kappa, alpha=ALPHA):
     p = KickedTopParams(alpha=alpha, kappa=kappa, j=j)
-    return diagonalize(p)
+    return FloquetEigensystem(tuple(diagonalize(p, s) for s in SECTORS), p)
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,17 +80,6 @@ def test_coherent_weights_match_dense_oracle_on_floquet_eigensystems(j, kappa):
     theta[:3] = (0.0, np.pi, 1e-9)
     oracle = expand_states(coherent_state_matrix(basis, theta, phi), eig)
     assert np.max(np.abs(coherent_weights(basis, eig, theta, phi) - oracle)) < 1e-12
-
-
-def test_coherent_weights_rejects_even_dimension():
-    # half-integer j has no m = 0 row for the parity sectors to fold on;
-    # KickedTopParams admits integer j only, so a stand-in carries j = 7.5
-    params = types.SimpleNamespace(j=7.5, half_kick=np.ones(16, dtype=complex))
-    sectors = tuple(SectorEigensystem(parity, np.zeros(8), np.eye(8)) for parity in (1, -1))
-    eig = FloquetEigensystem(sectors, params)
-    assert eig.dim == 16
-    with pytest.raises(ValueError, match="even eigensystem dimension 16"):
-        coherent_weights(SpinBasis(7.5), eig, [1.0], [0.5])
 
 
 def test_coherent_weights_permutation_equivariant():

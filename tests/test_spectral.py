@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kickedtop.floquet import KickedTopParams, diagonalize
+from kickedtop.floquet import SECTORS, FloquetEigensystem, KickedTopParams, diagonalize
 from kickedtop.spectral import (
     SpacingEnsemble,
     brody_pdf,
@@ -135,7 +135,7 @@ def eig_j200():
     out = {}
     for kappa in (0.4, 7.0):
         p = KickedTopParams(alpha=ALPHA, kappa=kappa, j=200)
-        out[kappa] = diagonalize(p)
+        out[kappa] = FloquetEigensystem(tuple(diagonalize(p, s) for s in SECTORS), p)
     return out
 
 
