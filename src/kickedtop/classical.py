@@ -27,6 +27,10 @@ bit-identical whatever batch, chunk or thread it runs in.
 
 Lyapunov exponents use the single-tangent-vector Benettin estimator
 with per-step renormalization, per kick (unit time between kicks).
+The map and the kick commute with the parity R_x(pi), (x, y, z) ->
+(x, -y, -z), bit for bit, so a field on a grid that the parity maps onto
+itself runs only the first half of its cells (``GridSpec.solved_cells``)
+and copies each into its mirror cell (``GridSpec.mirror_fill``).
 Phase portraits record the points of ``RECORD_KICKS`` kicks at a time
 and take their angles once per block.
 """
@@ -57,6 +61,7 @@ __all__ = [
 DEFAULT_TRANSIENT = 100  # kicks discarded before Lyapunov accumulation
 CHUNK_TRAJECTORIES = 16384  # trajectories per kernel chunk: ~14 work arrays in 2 MB of L2
 RECORD_KICKS = 32  # portrait points recorded per block before their angles are taken
+_MIRROR_TOL = 1e-14  # phi and theta range sums within this of 2 pi and pi are mirror-symmetric
 
 
 def _unit_vectors(theta, phi) -> np.ndarray:
@@ -233,13 +238,36 @@ def _lyapunov_batch(
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform (phi, theta) grid; points sit at cell centers, so the
-    theta in (0, pi) requirement holds automatically."""
+    """Uniform (phi, theta) grid of n_phi x n_theta cells, with points at
+    cell centers.  Construction raises ValueError unless both counts are
+    integers >= 1 and both ranges are finite with lo < hi, theta_range
+    inside [0, pi], so every theta lies in (0, pi).
+
+    The kicked top's parity R_x(pi), (x, y, z) -> (x, -y, -z), maps
+    (phi, theta) to (2 pi - phi, pi - theta).  When phi_lo + phi_hi = 2 pi
+    and theta_lo + theta_hi = pi (the default (0, 2 pi) x (0, pi) among
+    them, each sum to 1e-14), it takes the center of cell (i, k) to that of
+    (n_phi-1-i, n_theta-1-k), i.e. flat cell f of the phi-major mesh to
+    cell N-1-f: the grid maps onto itself reversed.
+    """
 
     n_phi: int = 200
     n_theta: int = 200
     phi_range: tuple[float, float] = (0.0, 2 * np.pi)
     theta_range: tuple[float, float] = (0.0, np.pi)
+
+    def __post_init__(self):
+        for name in ("n_phi", "n_theta"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+        for name in ("phi_range", "theta_range"):
+            lo, hi = getattr(self, name)
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+                raise ValueError(f"{name} must be finite with lo < hi, got {(lo, hi)!r}")
+        lo, hi = self.theta_range
+        if lo < 0.0 or hi > np.pi:
+            raise ValueError(f"theta_range must lie inside [0, pi], got {(lo, hi)!r}")
 
     @property
     def phi_centers(self) -> np.ndarray:
@@ -255,6 +283,21 @@ class GridSpec:
         """Flattened (phi, theta) coordinates of all cells, phi-major."""
         ph, th = np.meshgrid(self.phi_centers, self.theta_centers, indexing="ij")
         return ph.ravel(), th.ravel()
+
+    def solved_cells(self) -> int:
+        """How many cells of the phi-major mesh a field solves: the first
+        ceil(N/2) when the parity maps the grid onto itself reversed (see
+        above), all N otherwise.  ``mirror_fill`` completes the field."""
+        cells = self.n_phi * self.n_theta
+        symmetric = (abs(sum(self.phi_range) - 2 * np.pi) <= _MIRROR_TOL
+                     and abs(sum(self.theta_range) - np.pi) <= _MIRROR_TOL)
+        return (cells + 1) // 2 if symmetric else cells
+
+    def mirror_fill(self, solved: np.ndarray) -> np.ndarray:
+        """The values of all N flat cells (first axis) from those of the
+        ``solved_cells()`` first ones: cell N-1-f is a copy of cell f for
+        every cell past them."""
+        return np.concatenate([solved, solved[: self.n_phi * self.n_theta - len(solved)][::-1]])
 
 
 @dataclass(frozen=True)
@@ -295,16 +338,27 @@ def lyapunov_field(
     ``params`` is one parameter set, giving one field, or a sequence of
     them, run as one batch and giving a list of fields in its order.
     ``scan`` runs the batch's chunks (see ``_chunked``).
+
+    Only ``grid_spec.solved_cells()`` cells are run, each from its own
+    center with the tangent d0 = (1, 1, 1)/sqrt3; on a mirror-symmetric
+    grid the rest are ``mirror_fill`` copies.  The kick is bitwise
+    equivariant under the parity R = diag(1, -1, -1) (negation is exact,
+    sin is odd and cos even), so a copied cell holds exactly the Benettin
+    estimate from R s0 of its partner's start s0, with tangent R d0: the
+    cell's own center up to the rounding of the angles, and on a regular
+    cell a tangent that moves lambda by up to about 5e-3 at 10^3 kicks.
     """
     points, single = _points(params)
     phi, theta = grid_spec.mesh()
-    s0 = _unit_vectors(theta, phi)
-    cells = s0.shape[0]
+    solved = grid_spec.solved_cells()
+    s0 = _unit_vectors(theta[:solved], phi[:solved])
     starts = s0 if len(points) == 1 else np.tile(s0, (len(points), 1))
-    lam = _lyapunov_batch(starts, *_per_trajectory(points, cells), n_kicks, n_transient, scan)
+    lam = _lyapunov_batch(starts, *_per_trajectory(points, solved), n_kicks, n_transient, scan)
     fields = [
         LyapunovField(
-            grid=lam[i * cells : (i + 1) * cells].reshape(grid_spec.n_phi, grid_spec.n_theta),
+            grid=grid_spec.mirror_fill(lam[i * solved : (i + 1) * solved]).reshape(
+                grid_spec.n_phi, grid_spec.n_theta
+            ),
             grid_spec=grid_spec,
         )
         for i in range(len(points))

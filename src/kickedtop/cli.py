@@ -45,12 +45,12 @@ from .classical import (
     rng_for_task,
 )
 from .coeffstats import (
+    _pool,
     chisq_cdf,
     chisq_logpdf_form,
     distance_report,
     empirical_cdf,
     empirical_log_histogram,
-    pool_rescaled,
 )
 from .floquet import SECTORS, DiagonalizationError, FloquetEigensystem, KickedTopParams
 from .io import write_csv, write_manifest
@@ -377,6 +377,10 @@ def cmd_spectrum(args) -> int:
     bins = np.linspace(0.0, 4.0, run.count("bins", 50, 1) + 1)
     points = run.grid(run.kappas(), [j])
     _check_file_names(points)
+    # the even sector holds j + 1 levels and the odd one j; spacing statistics need 3
+    levels = j + 1 if sector == "even" else j
+    if levels < 3:
+        raise UsageError(f"the {sector} sector at j={j} has {levels} levels; spacing statistics need at least 3")
 
     def one(_, p):
         nu = cached_eigensystem(p, sector, run.cache).quasienergies
@@ -501,7 +505,9 @@ def cmd_coeffdist(args) -> int:
     def one(idx, p):
         # reduce the pooled weights in the task: only what is emitted outlives it
         theta, phi = haar_sphere(samples, rng_for_task(run.seed, idx))
-        pool = pool_rescaled(coherent_weights(p.basis, run.eigensystem(p), theta, phi))
+        x = coherent_weights(p.basis, run.eigensystem(p), theta, phi)
+        x *= x.shape[1]  # x = N |w|^2 in place, the one pool
+        pool = _pool(x)
         hist = empirical_log_histogram(pool)
         ref = chisq_logpdf_form(np.exp(hist.centers), nu, pool.mean_x)
         grid, f_emp = empirical_cdf(pool, 512)

@@ -97,7 +97,14 @@ def pool_rescaled(weights: np.ndarray) -> RescaledCoefficients:
     scale, taken in input order before x is sorted in place.
     """
     w = np.atleast_2d(np.asarray(weights, dtype=float))
-    x = (w * w.shape[1]).ravel()
+    return _pool(w * w.shape[1])
+
+
+def _pool(x: np.ndarray) -> RescaledCoefficients:
+    """The pool of the rescaled weights x as they are, (n_states, N): the
+    mean in input order, then x sorted in place (a C-contiguous x is
+    the pool's own buffer, not copied)."""
+    x = x.ravel()
     mean_x = float(x.mean())
     x.sort()
     return RescaledCoefficients(x=x, mean_x=mean_x)

@@ -263,14 +263,23 @@ def dq_field(
 
     The grid is uniform in the angles (matching phase-space maps), not
     Haar-weighted; use :func:`averaged_dq` for measure-weighted averages.
+
+    Only the states of ``grid_spec.solved_cells()`` cells are expanded;
+    on a mirror-symmetric grid the rest are ``mirror_fill`` copies.  The
+    parity R_x(pi) maps the coherent state at (phi, theta) to the one at
+    (2 pi - phi, pi - theta) up to a phase, and each Floquet eigenvector
+    has a definite parity, so a state and its mirror have the same
+    weights: a copied cell holds its partner's D_q, which equals its own
+    to rounding (within 1e-13 relative).
     """
     if grid_spec is None:
         grid_spec = GridSpec(n_phi=100, n_theta=100)
     phi, theta = grid_spec.mesh()
-    _, d = _coherent_dimensions(basis, eig, theta, phi, q_values)
+    solved = grid_spec.solved_cells()
+    _, d = _coherent_dimensions(basis, eig, theta[:solved], phi[:solved], q_values)
     return DqField(
         q_values=tuple(q_values),
-        values=d.reshape(grid_spec.n_phi, grid_spec.n_theta, len(q_values)),
+        values=grid_spec.mirror_fill(d).reshape(grid_spec.n_phi, grid_spec.n_theta, len(q_values)),
         grid_spec=grid_spec,
     )
 

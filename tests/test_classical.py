@@ -506,3 +506,82 @@ def test_lockstep_kappa_threshold_first_alpha_without_crossing_raises():
                     bisect_one_alpha(a, 0.5, 30, 300, 0)
         with pytest.raises(ValueError, match=f"at alpha={culprit}$"):
             kappa_threshold(alphas, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(n_phi=-1, n_theta=5),
+        dict(n_phi=5, n_theta=0),
+        dict(n_phi=2.5, n_theta=5),
+        dict(n_phi=5, n_theta=True),
+        dict(phi_range=(1.0, 1.0)),
+        dict(phi_range=(2.0, 1.0)),
+        dict(phi_range=(0.0, np.inf)),
+        dict(theta_range=(np.nan, 1.0)),
+        dict(theta_range=(0.0, 4.0)),
+        dict(theta_range=(-0.1, 1.0)),
+    ],
+)
+def test_grid_spec_rejects_bad_sizes_and_ranges(kwargs):
+    with pytest.raises(ValueError):
+        GridSpec(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "spec, solved",
+    [
+        (GridSpec(n_phi=4, n_theta=3), 6),
+        (GridSpec(n_phi=5, n_theta=7), 18),
+        (GridSpec(n_phi=1, n_theta=1), 1),
+        (GridSpec(n_phi=6, n_theta=4, phi_range=(0.5, 2 * np.pi - 0.5)), 12),
+        (GridSpec(n_phi=4, n_theta=4, theta_range=(0.5, np.pi - 0.5)), 8),
+        (GridSpec(n_phi=4, n_theta=3, phi_range=(0.0, np.pi)), 12),
+        (GridSpec(n_phi=4, n_theta=3, theta_range=(0.0, 3.0)), 12),
+    ],
+)
+def test_grid_spec_solves_half_of_a_mirror_symmetric_grid(spec, solved):
+    assert spec.solved_cells() == solved
+    if solved < spec.n_phi * spec.n_theta:
+        # the parity (phi, theta) -> (2 pi - phi, pi - theta) reverses the phi-major mesh
+        phi, theta = spec.mesh()
+        np.testing.assert_allclose(phi[::-1], 2 * np.pi - phi, atol=1e-12)
+        np.testing.assert_allclose(theta[::-1], np.pi - theta, atol=1e-12)
+
+
+@pytest.mark.parametrize("kappa, alpha", [(0.4, ALPHA), (3.0, 1.0), (7.0, 2.5)])
+def test_kick_is_bitwise_parity_equivariant(kappa, alpha):
+    # R = diag(1, -1, -1) on the points and on the tangents, renormalized as in the
+    # Benettin loop: the two batches stay exact mirrors, kick after kick
+    s = random_unit_vectors(200, seed=5).T.copy()
+    d = random_unit_vectors(200, seed=6).T.copy()
+    ms, md = s * [[1.0], [-1.0], [-1.0]], d * [[1.0], [-1.0], [-1.0]]
+    scratch = np.empty((5, 200))
+    for _ in range(600):
+        for pt, tg in ((s, d), (ms, md)):
+            classical._kick(*pt, np.sin(alpha), np.cos(alpha), kappa, scratch, tg)
+            tg /= np.sqrt((tg[0] * tg[0] + tg[1] * tg[1]) + tg[2] * tg[2])
+        assert np.array_equal(ms[0], s[0]) and np.array_equal(ms[1:], -s[1:])
+        assert np.array_equal(md[0], d[0]) and np.array_equal(md[1:], -d[1:])
+
+
+@pytest.mark.parametrize("n_phi, n_theta", [(4, 3), (5, 7), (1, 1), (2, 1)])
+def test_lyapunov_field_solves_half_and_mirrors_it(n_phi, n_theta):
+    spec = GridSpec(n_phi=n_phi, n_theta=n_theta)
+    points = [params(kappa=3.0), params(alpha=1.0, kappa=7.0)]
+    phi, theta = spec.mesh()
+    solved = spec.solved_cells()
+    for p, f in zip(points, lyapunov_field(points, spec, n_kicks=300)):
+        lam = f.grid.ravel()
+        assert np.array_equal(lam, lam[::-1])
+        own = _lyapunov_batch(classical._unit_vectors(theta[:solved], phi[:solved]), p.alpha, p.kappa, 300)
+        assert np.array_equal(lam[:solved], own)
+
+
+def test_lyapunov_field_on_an_asymmetric_grid_solves_every_cell():
+    spec = GridSpec(n_phi=4, n_theta=3, phi_range=(0.0, np.pi))
+    phi, theta = spec.mesh()
+    field = lyapunov_field(params(kappa=3.0), spec, n_kicks=300)
+    own = _lyapunov_batch(classical._unit_vectors(theta, phi), ALPHA, 3.0, 300)
+    assert np.array_equal(field.grid.ravel(), own)
+    assert not np.array_equal(own, own[::-1])

@@ -317,6 +317,14 @@ def test_usage_error_spectrum_bins(tmp_path, capsys, no_eigensystem):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("j, sector", [(1, "even"), (1, "odd"), (2, "odd")])
+def test_usage_error_spectrum_sector_below_three_levels(tmp_path, capsys, j, sector):
+    assert run("spectrum", "--j", str(j), "--kappa", "3", "--sector", sector, "--out", tmp_path) == 1
+    assert "spacing statistics need at least 3" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.ktc"))
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_usage_error_negative_q(tmp_path, capsys, no_eigensystem):
     assert run("multifractal", "--j", "4", "--kappa", "3", "--grid", "2", "--q", "1,-1",
                "--out", tmp_path) == 1

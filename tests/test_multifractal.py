@@ -107,6 +107,30 @@ def test_averaged_dq_and_field_match_dense_oracle():
     np.testing.assert_allclose(field.values.reshape(-1, len(qs)), d, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "grid, mirrored",
+    [
+        (GridSpec(n_phi=4, n_theta=3), True),
+        (GridSpec(n_phi=5, n_theta=7), True),
+        (GridSpec(n_phi=1, n_theta=1), True),
+        (GridSpec(n_phi=6, n_theta=5, phi_range=(0.0, np.pi)), False),
+    ],
+)
+def test_dq_field_solves_half_and_mirrors_it(grid, mirrored):
+    j, qs = 40, (1.0, 2.0, np.inf)
+    eig = eigensystem(j, 7.0)
+    basis = SpinBasis(j)
+    phi, theta = grid.mesh()
+    values = dq_field(basis, eig, grid, qs).values.reshape(-1, len(qs))
+    if mirrored:
+        assert np.array_equal(values, values[::-1])
+    else:
+        assert grid.solved_cells() == values.shape[0]
+    # every cell, copied or solved, against its own state
+    _, d = renyi_dimensions(expand_states(coherent_state_matrix(basis, theta, phi), eig), qs)
+    np.testing.assert_allclose(values, d, rtol=1e-12)
+
+
 def test_averaged_dq_needs_two_samples():
     eig = eigensystem(10, 3.0)
     for n in (1, 0, -1):
