@@ -331,6 +331,19 @@ def _split_collision(idx: np.ndarray, o: np.ndarray, ao: np.ndarray, bo: np.ndar
     _rotate(idx, r, o, ao, bo)
 
 
+def _kick_in_place(c: np.ndarray, s: np.ndarray, h: np.ndarray) -> None:
+    """Overwrite C and S with A = Re M and B = Im M, M = diag(h) (C - iS) diag(h).
+
+    h h^T is formed in eight bands of rows, one at a time, so no n x n
+    complex array and no n x n temporary is ever held.
+    """
+    step = -(-h.size // 8)
+    for i in range(0, h.size, step):
+        hh = np.multiply.outer(h[i : i + step], h)
+        cb, sb = c[i : i + step], s[i : i + step]
+        cb[...], sb[...] = hh.real * cb + hh.imag * sb, hh.imag * cb - hh.real * sb
+
+
 def diagonalize(params: KickedTopParams, sector: str) -> SectorEigensystem:
     """The parity sector 'even' or 'odd' of F, from one real symmetric eigensolve.
 
@@ -357,6 +370,14 @@ def diagonalize(params: KickedTopParams, sector: str) -> SectorEigensystem:
     block is checked for |M o - e^(i nu) o| before returning; a failure
     raises DiagonalizationError, and the largest residual is kept as
     ``max_residual``.
+
+    Working set: never more than four n x n arrays of doubles are alive.
+    C and S are overwritten by A and B (``_kick_in_place``); during eigh
+    the four are A, B, A + cB and O (eigh adds its own LAPACK copy and
+    workspace).  A O and B O then take the buffers of A + cB and A, and
+    B is dropped, so O, A O, B O and one temporary are alive while nu,
+    the Jz^2 gauge and the residual are taken, on the unsorted columns.
+    Only O is permuted, once, into the C-contiguous ``vectors``.
     """
     parity = _parity(sector)
     j = params.j
@@ -364,38 +385,46 @@ def diagonalize(params: KickedTopParams, sector: str) -> SectorEigensystem:
         k, u = _jx_half(j, parity)
     first = int(parity == ODD)  # the odd half starts at m = 1
     h, m2 = params.half_kick[j + first :], np.arange(first, j + 1.0) ** 2
-    c = (u * np.cos(params.alpha * k)) @ u.T
-    s = (u * np.sin(params.alpha * k)) @ u.T
-    hh = np.multiply.outer(h, h)
-    a = hh.real * c + hh.imag * s
-    bi = hh.imag * c - hh.real * s
+    a = (u * np.cos(params.alpha * k)) @ u.T  # C, until _kick_in_place makes it A
+    b = (u * np.sin(params.alpha * k)) @ u.T  # S, until it becomes B
+    _kick_in_place(a, b, h)
+    mixed = b * _MIX
+    mixed += a
     try:
-        lam, o = np.linalg.eigh(a + _MIX * bi)
+        lam, o = np.linalg.eigh(mixed)
     except np.linalg.LinAlgError as exc:
         raise DiagonalizationError(
             f"sector eigensolver failed for dim={k.size}, params={params}: {exc}"
         ) from exc
-    ao, bo = a @ o, bi @ o
+    ao = np.matmul(a, o, out=mixed)
+    bo = np.matmul(b, o, out=a)  # A is not read again
+    del a, b
     for idx in _clusters(lam, _SPLIT_TOL):
         _split_collision(idx, o, ao, bo)
 
     nu = np.arctan2(np.sum(o * bo, axis=0), np.sum(o * ao, axis=0))
     nu[nu >= np.pi] -= 2 * np.pi
     order = np.argsort(nu, kind="stable")
-    nu, o, ao, bo = nu[order], o[:, order], ao[:, order], bo[:, order]
 
     # true degeneracies: fix the gauge by diagonalizing the compressed Jz^2
     # (Jz itself is parity-odd and compresses to zero)
-    clusters = _clusters(nu, _GAP_TOL, wrap=True)
+    clusters = _clusters(nu[order], _GAP_TOL, wrap=True)
     for idx in clusters:
-        q = o[:, idx]
+        cols = order[idx]
+        q = o[:, cols]
         _, r = np.linalg.eigh(q.T @ (m2[:, None] * q))
-        _rotate(idx, r, o, ao, bo)
+        _rotate(cols, r, o, ao, bo)
 
-    residual = np.sqrt(np.sum((ao - o * np.cos(nu)) ** 2 + (bo - o * np.sin(nu)) ** 2, axis=0))
-    worst = float(np.max(residual))
+    # |M o - e^(i nu) o|^2 per column, in place; each column is then summed
+    # as one contiguous run (pairwise), from a column-major copy
+    ao -= o * np.cos(nu)
+    bo -= o * np.sin(nu)
+    np.square(ao, out=ao)
+    np.square(bo, out=bo)
+    ao += bo
+    worst = float(np.sqrt(np.max(np.sum(np.asfortranarray(ao), axis=0))))
     if not worst <= _RESIDUAL_TOL:
         raise DiagonalizationError(
             f"eigen-residual {worst:.3e} in a parity block of dim={k.size}, params={params}"
         )
-    return SectorEigensystem(parity, nu, o, len(clusters), worst)
+    return SectorEigensystem(parity, nu[order], np.take(o, order, axis=1), len(clusters), worst)

@@ -163,7 +163,7 @@ def test_coeffdist_cdf_and_zeros_recomputed(tmp_path, threads):
         assert int(meta["zeros_excluded"]) == np.count_nonzero(x == 0)
 
 
-COEFFDIST_PEAK = """
+PEAK_AFTER_MAIN = """
 import sys
 from kickedtop.cli import main
 assert main(sys.argv[1:]) == 0
@@ -171,18 +171,32 @@ print([line for line in open("/proc/self/status") if line.startswith("VmHWM")][0
 """
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-def test_coeffdist_peak_memory_bounded(tmp_path):
-    # one pool of 10^4 states at j = 400 is 64 MB of x; the reduction must not copy it many times
+def peak_mb(*argv):
+    """VmHWM in MB of a fresh process that runs the CLI on ``argv`` with one BLAS thread."""
     src = str(Path(kickedtop.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["coeffdist", "--j-list", "400", "--kappa", "7", "--threads", "1", "--no-cache",
-            "--out", str(tmp_path)]
-    proc = subprocess.run([sys.executable, "-c", COEFFDIST_PEAK, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", PEAK_AFTER_MAIN, *map(str, argv)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.split()[-1]) / 1024 <= 300  # VmHWM is in kB
+    return int(proc.stdout.split()[-1]) / 1024  # VmHWM is in kB
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_coeffdist_peak_memory_bounded(tmp_path):
+    # one pool of 10^4 states at j = 400 is 64 MB of x; the reduction must not copy it many times
+    assert peak_mb("coeffdist", "--j-list", "400", "--kappa", "7", "--threads", "1", "--no-cache",
+                   "--out", tmp_path) <= 300
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_spectrum_j1000_peak_memory_bounded(tmp_path):
+    # one sector of n = 1001 (8 MB per n x n array): 146.7 MB when C, S, h h^T, A, B,
+    # A + cB and the sorted copies were all alive, 107.7 MB with C and S made A and B
+    # in place (2-vCPU VM, OpenBLAS)
+    assert peak_mb("spectrum", "--j", "1000", "--kappa", "7", "--threads", "1", "--no-cache",
+                   "--out", tmp_path) <= 125
 
 
 def test_config_file_precedence(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import tracemalloc
 import types
 from concurrent.futures import ThreadPoolExecutor
 
@@ -425,6 +426,25 @@ def test_sectors_match_full_row_oracle(j, kappa):
     r = eig.real_vectors
     assert np.max(np.abs(r.T @ r - np.eye(2 * j + 1))) <= 1e-14
     assert eig.max_residual <= 1e-9
+
+
+@pytest.mark.parametrize("sector", SECTORS)
+@pytest.mark.parametrize("j", [200, 400])
+def test_diagonalize_working_set_bounded(j, sector):
+    # C and S become A and B in place and only O is permuted, so one solve holds
+    # about 4 n x n doubles at its peak; with C, S, h h^T and A, B, A + cB and the
+    # sorted copies all alive it held about 12
+    params = KickedTopParams(alpha=ALPHA, kappa=7.0, j=j)
+    diagonalize(params, sector)  # warm J_x memo: only the solve itself is traced
+    tracemalloc.start()
+    try:
+        block = diagonalize(params, sector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = block.quasienergies.size
+    assert peak <= 7 * 8 * n * n
+    assert block.vectors.flags.c_contiguous
 
 
 def test_evolve_norm_and_classical_tracking():
