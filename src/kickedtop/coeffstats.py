@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+import math
 from math import floor, lgamma
 
 import numpy as np
@@ -37,6 +38,8 @@ __all__ = [
 
 DENSITY_FLOOR = 1e-300  # floor for predicted bin masses inside the KL sum
 RMSE_GRID = 2048  # points of the uniform x grid the RMSE integrates over
+SERIES_TERMS = 16  # terms u^k/k!, k >= 2, of the nu = 4 CDF below u = 1/2 (the next is < 1e-19 of it)
+U_MAX = 800.0  # cap of u = nu x / 2<x>: e^-u, e^-u (1 + u) and erfc(sqrt u) are 0 past 746
 
 
 class RescaledCoefficients:
@@ -136,17 +139,36 @@ def chisq_logpdf_form(x, nu: int, mean_x: float = 1.0):
 
 
 def chisq_cdf(x, nu: int, mean_x: float = 1.0):
-    """chi^2_nu cumulative: regularized lower incomplete gamma
-    F_nu(x) = gamma(nu/2, nu x / 2<x>) / Gamma(nu/2).
+    """chi^2_nu cumulative F_nu(x) = P(nu/2, u), the regularized lower
+    incomplete gamma function at u = nu x / 2<x>, in closed form:
+    erf(sqrt u) for nu = 1, 1 - e^-u for nu = 2 and 1 - e^-u (1 + u) for
+    nu = 4, each accurate relative to F as F -> 0.
 
-    The one scipy call in the package, imported here so that only the
-    ``coeffdist`` recipe pays for importing scipy.
+    The nu = 4 form cancels there: below u = 1/2 it is summed as
+    e^-u sum_{k>=2} u^k / k! instead.
     """
-    from scipy.special import gammainc
+    u = _chisq_argument(x, nu, mean_x)
+    if nu == 1:
+        return _map(math.erf, np.sqrt(u))
+    if nu == 2:
+        return -np.expm1(-u)
+    series = np.ones_like(u)
+    for k in range(SERIES_TERMS + 1, 2, -1):  # Horner: 1 + u/3 (1 + u/4 (1 + ...))
+        series = 1.0 + u / k * series
+    small = 0.5 * u * u * series * np.exp(-u)
+    return np.where(u < 0.5, small, -np.expm1(-u) - u * np.exp(-u))[()]
 
+
+def _chisq_argument(x, nu: int, mean_x: float) -> np.ndarray:
+    """u = nu x / 2<x> for x >= 0 (negative x count as 0), capped at
+    ``U_MAX``, past which F is exactly 1 and Q exactly 0 in doubles."""
     _check_nu(nu)
-    x = np.asarray(x, dtype=float)
-    return gammainc(0.5 * nu, 0.5 * nu * np.clip(x, 0.0, None) / mean_x)
+    return np.minimum(0.5 * nu * np.clip(np.asarray(x, dtype=float), 0.0, None) / mean_x, U_MAX)
+
+
+def _map(f, z: np.ndarray):
+    """A math-module function over an array (numpy has no erf)."""
+    return np.fromiter(map(f, z.ravel()), float, count=z.size).reshape(z.shape)[()]
 
 
 def _check_nu(nu):

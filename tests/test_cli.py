@@ -533,6 +533,7 @@ for argv in (
     ["multifractal", "--j", "6", "--kappa", "1", "--grid", "3"],
     ["multifractal", "--mode", "scan", "--j-list", "5,6", "--kappa", "1", "--samples", "10"],
     ["multifractal", "--mode", "scaling", "--j-list", "5,6", "--kappa", "7", "--samples", "10"],
+    *(["coeffdist", "--j-list", "6", "--samples", "20", "--nu", nu] for nu in ("1", "2", "4")),
 ):
     assert main(argv + ["--out", out, "--threads", "1"]) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
@@ -547,11 +548,6 @@ def test_recipes_import_no_scipy(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
-    argv = ["coeffdist", "--j-list", "6", "--samples", "20", "--out", str(tmp_path / "coeff")]
-    proc = subprocess.run([sys.executable, "-m", "kickedtop.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert list((tmp_path / "coeff").glob("coeffdist_*.csv"))
 
 
 def test_usage_error_bad_domain(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf
+from scipy.special import erf, gammainc
 
 from kickedtop import coeffstats
 from kickedtop.coeffstats import (
@@ -75,6 +75,26 @@ def test_cdf_nu1_erf_form():
     assert abs(value - erf(np.sqrt(0.5))) < 1e-12
     by_quad, _ = quad(lambda t: chisq_pdf(t, 1, 1.0), 0.0, 1.0)
     assert abs(value - by_quad) < 1e-10
+
+
+# x/<x> from deep in the lower tail, where 1 - e^-u (1 + u) cancels to 0 for nu = 4, up to 60
+CDF_GRID = np.logspace(-40, np.log10(60.0), 2001)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 4])
+@pytest.mark.parametrize("mean_x", [0.5, 1.0, 2.0])
+def test_cdf_closed_forms_match_gammainc(nu, mean_x):
+    x = CDF_GRID * mean_x
+    ref = gammainc(0.5 * nu, 0.5 * nu * x / mean_x)
+    assert np.max(np.abs(chisq_cdf(x, nu, mean_x) / ref - 1)) < 5e-14
+
+
+@pytest.mark.parametrize("nu", [1, 2, 4])
+def test_cdf_scalars_and_limits(nu):
+    assert chisq_cdf(-1.0, nu) == chisq_cdf(0.0, nu) == 0.0
+    assert chisq_cdf(1e4, nu) == chisq_cdf(np.inf, nu) == 1.0
+    assert np.isnan(chisq_cdf(np.nan, nu))
+    assert np.ndim(chisq_cdf(1.0, nu)) == 0 and chisq_cdf(np.ones((2, 3)), nu).shape == (2, 3)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 4])
