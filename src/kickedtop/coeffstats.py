@@ -159,6 +159,31 @@ def chisq_cdf(x, nu: int, mean_x: float = 1.0):
     return np.where(u < 0.5, small, -np.expm1(-u) - u * np.exp(-u))[()]
 
 
+def _chisq_sf(x, nu: int, mean_x: float = 1.0):
+    """chi^2_nu survival Q_nu = 1 - F_nu, accurate relative to Q far into
+    the tail, where F rounds to 1: e^-u for nu = 2, e^-u (1 + u) for
+    nu = 4, and erfc(sqrt u) for nu = 1.
+
+    erfc of the rounded root z alone is off by about u * 2e-16 relative
+    (9e-14 at Q = 1e-300), since e^-u amplifies the rounding of z; the
+    residual u - z^2, taken exactly by Dekker's product, gives the
+    first-order correction -(u - z^2) e^-u / (z sqrt pi).
+    """
+    u = _chisq_argument(x, nu, mean_x)
+    if nu == 2:
+        return np.exp(-u)
+    if nu == 4:
+        return np.exp(-u) * (1.0 + u)
+    z = np.sqrt(u)
+    z2 = z * z
+    hi = z * 134217729.0  # Veltkamp split: hi on 26 bits, so hi * hi and hi * lo are exact
+    hi -= hi - z
+    lo = z - hi
+    residual = (u - z2) - (((hi * hi - z2) + 2.0 * hi * lo) + lo * lo)  # u - z^2
+    slope = np.divide(np.exp(-u), z * math.sqrt(math.pi), out=np.zeros_like(z), where=z > 0)
+    return (_map(math.erfc, z) - residual * slope)[()]
+
+
 def _chisq_argument(x, nu: int, mean_x: float) -> np.ndarray:
     """u = nu x / 2<x> for x >= 0 (negative x count as 0), capped at
     ``U_MAX``, past which F is exactly 1 and Q exactly 0 in doubles."""
@@ -224,7 +249,8 @@ def distance_report(pool: RescaledCoefficients, nu: int = 2) -> DistanceReport:
     """SKLD and RMSE of the pooled sample against chi^2_nu.
 
     SKLD: histogram density estimate of P(x) with Freedman-Diaconis
-    binning in ln x; predicted bin masses below the floor are clamped.
+    binning in ln x; the predicted mass of a bin is F(b) - F(a), or
+    Q(a) - Q(b) past the median, and masses below the floor are clamped.
     RMSE: empirical versus reference CDF on ``RMSE_GRID`` uniform points
     of [x_0, x_m] = [min x, max x].  The paper's formula leaves the
     integrand unsquared; it is squared here, as the name requires.
@@ -240,7 +266,10 @@ def distance_report(pool: RescaledCoefficients, nu: int = 2) -> DistanceReport:
     edges_x[0], edges_x[-1] = x0, xm  # guard rounding at the ends
     counts, _ = np.histogram(positive, bins=edges_x)
     p_hat = counts / positive.size
-    q_ref = np.maximum(np.diff(chisq_cdf(edges_x, nu, pool.mean_x)), DENSITY_FLOOR)
+    # bins past the median take their masses from Q: F rounds to 1 in the tail
+    f_ref = chisq_cdf(edges_x, nu, pool.mean_x)
+    mass = np.where(f_ref[:-1] < 0.5, np.diff(f_ref), -np.diff(_chisq_sf(edges_x, nu, pool.mean_x)))
+    q_ref = np.maximum(mass, DENSITY_FLOOR)
     mask = p_hat > 0
     kl = float(np.sum(p_hat[mask] * np.log(p_hat[mask] / q_ref[mask])))
     skld = float(np.sqrt(max(kl, 0.0)))

@@ -1,9 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf, gammainc
+from scipy.special import erf, gammainc, gammaincc
 
 from kickedtop import coeffstats
+from kickedtop.classical import haar_sphere, rng_for_task
 from kickedtop.coeffstats import (
     RescaledCoefficients,
     chisq_cdf,
@@ -13,6 +15,8 @@ from kickedtop.coeffstats import (
     empirical_log_histogram,
     pool_rescaled,
 )
+from kickedtop.floquet import SECTORS, FloquetEigensystem, KickedTopParams, diagonalize
+from kickedtop.multifractal import coherent_weights
 
 
 def test_nu2_is_exponential():
@@ -90,11 +94,37 @@ def test_cdf_closed_forms_match_gammainc(nu, mean_x):
 
 
 @pytest.mark.parametrize("nu", [1, 2, 4])
+@pytest.mark.parametrize("mean_x", [0.5, 1.0, 2.0])
+def test_survival_forms_match_gammaincc(nu, mean_x):
+    x = CDF_GRID * mean_x
+    ref = gammaincc(0.5 * nu, 0.5 * nu * x / mean_x)
+    assert np.max(np.abs(coeffstats._chisq_sf(x, nu, mean_x) / ref - 1)) < 5e-14
+
+
+# x/<x> at which Q falls to about 1e-300
+TAIL_END = {1: 1376.0, 2: 690.0, 4: 348.0}
+
+
+@pytest.mark.parametrize("nu", [1, 2, 4])
+@pytest.mark.parametrize("mean_x", [0.5, 1.0, 2.0])
+def test_survival_forms_deep_in_the_tail(nu, mean_x):
+    # against 40-digit mpmath: gammaincc itself errs by up to 1.1e-13 relative out here
+    mpmath.mp.dps = 40
+    t = np.linspace(60.0, TAIL_END[nu], 120)
+    exact = np.array([float(mpmath.gammainc(mpmath.mpf(nu) / 2, 0.5 * nu * v, mpmath.inf, regularized=True))
+                      for v in t])  # u = nu t / 2 is exact in doubles, and so is x / <x> = t
+    assert 1e-301 < exact[-1] < 1e-299
+    assert np.max(np.abs(coeffstats._chisq_sf(t * mean_x, nu, mean_x) / exact - 1)) < 5e-14
+
+
+@pytest.mark.parametrize("nu", [1, 2, 4])
 def test_cdf_scalars_and_limits(nu):
     assert chisq_cdf(-1.0, nu) == chisq_cdf(0.0, nu) == 0.0
     assert chisq_cdf(1e4, nu) == chisq_cdf(np.inf, nu) == 1.0
     assert np.isnan(chisq_cdf(np.nan, nu))
     assert np.ndim(chisq_cdf(1.0, nu)) == 0 and chisq_cdf(np.ones((2, 3)), nu).shape == (2, 3)
+    assert coeffstats._chisq_sf(0.0, nu) == 1.0 and coeffstats._chisq_sf(np.inf, nu) == 0.0
+    assert np.ndim(coeffstats._chisq_sf(1.0, nu)) == 0
 
 
 @pytest.mark.parametrize("nu", [1, 2, 4])
@@ -196,6 +226,45 @@ def test_self_distance_shrinks_with_samples():
 
 def pool_from_samples(x):
     return RescaledCoefficients(x=np.asarray(x), mean_x=float(np.mean(x)))
+
+
+def scipy_bin_masses(pool, nu):
+    """Counts of ``distance_report``'s bins, and their chi^2_nu masses as
+    differences of gammainc alone and, past the median, of gammaincc."""
+    positive = pool.positive
+    edges = np.exp(coeffstats._fd_log_edges(pool.log_positive))
+    edges[0], edges[-1] = positive[0], positive[-1]
+    counts, _ = np.histogram(positive, bins=edges)
+    u = 0.5 * nu * edges / pool.mean_x
+    f, q = gammainc(0.5 * nu, u), gammaincc(0.5 * nu, u)
+    return counts, np.diff(f), np.where(f[:-1] < 0.5, np.diff(f), -np.diff(q))
+
+
+def assert_no_bin_clamped(pool, nu):
+    counts, f_masses, masses = scipy_bin_masses(pool, nu)
+    held = counts > 0
+    assert np.any(f_masses[held] < coeffstats.DENSITY_FLOOR)  # differences of F lose the tail bins
+    assert np.all(masses[held] > coeffstats.DENSITY_FLOOR)
+    p = counts[held] / pool.positive.size
+    skld = np.sqrt(np.sum(p * np.log(p / masses[held])))
+    assert abs(distance_report(pool, nu).skld / skld - 1) < 1e-9
+
+
+@pytest.mark.parametrize("nu", [1, 2, 4])
+def test_skld_keeps_upper_tail_masses(nu):
+    # a chi^2_nu pool with a few entries at 80-120 <x>, where F rounds to 1 for each nu
+    rng = np.random.default_rng(13)
+    x = np.concatenate([rng.chisquare(nu, size=100_000) / nu, rng.uniform(80.0, 120.0, size=20)])
+    assert_no_bin_clamped(pool_from_samples(x), nu)
+
+
+def test_skld_clamps_no_bin_at_kappa3():
+    # the pool of the default coeffdist at kappa = 3 (j = 150, 10^4 states, task 2): differences
+    # of F floored 15 of its 641 bins, which hold x up to 140 <x>
+    p = KickedTopParams(alpha=4 * np.pi / 7, kappa=3.0, j=150)
+    eig = FloquetEigensystem(tuple(diagonalize(p, s) for s in SECTORS), p)
+    theta, phi = haar_sphere(10_000, rng_for_task(0, 2))
+    assert_no_bin_clamped(pool_rescaled(coherent_weights(p.basis, eig, theta, phi)), 2)
 
 
 def test_distance_scale_invariance():
