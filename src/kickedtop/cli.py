@@ -440,7 +440,7 @@ def cmd_multifractal(args) -> int:
     samples = run.count("samples", 10_000, 2)  # a standard error needs two samples
 
     def averaged(idx, p):
-        return averaged_dq(p.basis, run.eigensystem(p), samples, qs, seed=run.seed, task_index=idx)
+        return averaged_dq(run.eigensystem(p), samples, qs, seed=run.seed, task_index=idx)
 
     if mode == "field":
         j = run.opt("j", 150, int)
@@ -451,7 +451,7 @@ def cmd_multifractal(args) -> int:
         _check_file_names(points)
 
         def field(_, p):
-            dq = dq_field(p.basis, run.eigensystem(p), spec, qs)
+            dq = dq_field(run.eigensystem(p), spec, qs)
             columns = {_q_label(q): dq.component(q).ravel() for q in qs}
             return {"phi": phi, "theta": theta, **columns}
 
@@ -505,7 +505,7 @@ def cmd_coeffdist(args) -> int:
     def one(idx, p):
         # reduce the pooled weights in the task: only what is emitted outlives it
         theta, phi = haar_sphere(samples, rng_for_task(run.seed, idx))
-        x = coherent_weights(p.basis, run.eigensystem(p), theta, phi)
+        x = coherent_weights(run.eigensystem(p), theta, phi)
         x *= x.shape[1]  # x = N |w|^2 in place, the one pool
         pool = _pool(x)
         hist = empirical_log_histogram(pool)

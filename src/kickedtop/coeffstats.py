@@ -16,7 +16,7 @@ use these and never mask, sort or log the pool again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 import math
 from math import floor, lgamma

@@ -16,7 +16,7 @@ import numpy as np
 
 from .classical import GridSpec, haar_sphere, rng_for_task
 from .floquet import FloquetEigensystem
-from .spin import SpinBasis, coherent_band
+from .spin import coherent_band
 
 __all__ = [
     "MultifractalResult",
@@ -130,7 +130,7 @@ def _fold(band: np.ndarray, lo: int, hi: int, n: int, work: np.ndarray):
     return fold, anti, 0
 
 
-def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
+def _weight_blocks(eig: FloquetEigensystem, thetas, phis):
     """Yield (indices, weights) for blocks of ``BLOCK_STATES`` theta-sorted
     coherent states; ``weights[r]`` belongs to input state ``indices[r]``,
     its columns the sectors' eigenvectors side by side, each sector in
@@ -150,14 +150,12 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
     across m = 0 is folded (``_fold``: one sum and one difference per
     row) onto fewer rows than it spans, one dgemm per sector.
     """
-    if basis.dim != eig.dim:
-        raise ValueError(f"dimension mismatch: states dim {basis.dim}, eigenbasis dim {eig.dim}")
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
     if thetas.ndim != 1 or thetas.shape != phis.shape:
         raise ValueError(f"thetas and phis must be 1-D of one length, got {thetas.shape}, {phis.shape}")
     order = np.argsort(thetas, kind="stable")
-    n = eig.dim
+    basis, n = eig.params.basis, eig.dim
     c = n // 2  # the Dicke row of m = 0, which only the even half holds
     h = eig.row_phases
     row_factor = h.conj() * np.sqrt(0.5)
@@ -186,29 +184,29 @@ def _weight_blocks(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis):
         yield idx, w
 
 
-def coherent_weights(basis: SpinBasis, eig: FloquetEigensystem, thetas, phis) -> np.ndarray:
+def coherent_weights(eig: FloquetEigensystem, thetas, phis) -> np.ndarray:
     """Weights |<nu_i|theta_k, phi_k>|^2 of many coherent states.
 
     Shape (n_states, N), rows in input order, columns in the order of
     ``eig.quasienergies``; agrees with
-    ``expand_states(coherent_state_matrix(basis, thetas, phis), eig)`` to
+    ``expand_states(coherent_state_matrix(eig.params.basis, thetas, phis), eig)`` to
     rounding.
     """
     order = eig.order
     out = np.empty((np.size(thetas), order.size))
-    for idx, w in _weight_blocks(basis, eig, thetas, phis):
+    for idx, w in _weight_blocks(eig, thetas, phis):
         out[idx] = w[:, order]
     return out
 
 
-def _coherent_dimensions(basis, eig, thetas, phis, q_values) -> tuple[np.ndarray, np.ndarray]:
+def _coherent_dimensions(eig, thetas, phis, q_values) -> tuple[np.ndarray, np.ndarray]:
     """S_q and D_q of each coherent state, rows in input order.
 
     Reduces block by block, so temporaries stay O(N * BLOCK_STATES).
     """
     s = np.empty((np.size(thetas), len(q_values)))
     d = np.empty_like(s)
-    for idx, w in _weight_blocks(basis, eig, thetas, phis):
+    for idx, w in _weight_blocks(eig, thetas, phis):
         s[idx], d[idx] = renyi_dimensions(w, q_values)
     return s, d
 
@@ -254,7 +252,6 @@ def renyi_dimensions(weights: np.ndarray, q_values) -> tuple[np.ndarray, np.ndar
 
 
 def dq_field(
-    basis: SpinBasis,
     eig: FloquetEigensystem,
     grid_spec: GridSpec | None = None,
     q_values=DEFAULT_QS,
@@ -276,7 +273,7 @@ def dq_field(
         grid_spec = GridSpec(n_phi=100, n_theta=100)
     phi, theta = grid_spec.mesh()
     solved = grid_spec.solved_cells()
-    _, d = _coherent_dimensions(basis, eig, theta[:solved], phi[:solved], q_values)
+    _, d = _coherent_dimensions(eig, theta[:solved], phi[:solved], q_values)
     return DqField(
         q_values=tuple(q_values),
         values=grid_spec.mirror_fill(d).reshape(grid_spec.n_phi, grid_spec.n_theta, len(q_values)),
@@ -285,7 +282,6 @@ def dq_field(
 
 
 def averaged_dq(
-    basis: SpinBasis,
     eig: FloquetEigensystem,
     n_samples: int = 10_000,
     q_values=DEFAULT_QS,
@@ -301,7 +297,7 @@ def averaged_dq(
     if n_samples < 2:
         raise ValueError(f"n_samples must be at least 2 for a standard error, got {n_samples}")
     theta, phi = haar_sphere(n_samples, rng_for_task(seed, task_index))
-    s, d = _coherent_dimensions(basis, eig, theta, phi, q_values)
+    s, d = _coherent_dimensions(eig, theta, phi, q_values)
     return MultifractalResult(
         q_values=tuple(q_values),
         D_q=d.mean(axis=0),

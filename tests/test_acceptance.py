@@ -65,7 +65,7 @@ def scaling_data():
         rows = []
         for idx, j in enumerate(js):
             eig = eigensystem(j, kappa)
-            res = averaged_dq(SpinBasis(j), eig, 1000, qs, seed=0, task_index=idx)
+            res = averaged_dq(eig, 1000, qs, seed=0, task_index=idx)
             rows.append((2 * j + 1, res.D_q))
         data[kappa] = rows
     return data
@@ -103,10 +103,10 @@ def coeff_pools():
 
 def test_criterion_1_spectral_crossover(eig500):
     r_reg = ratio_stats(
-        spacings_from_quasienergies(eig500[0.4].sector("even")).raw_gaps
+        spacings_from_quasienergies(eig500[0.4].block("even").quasienergies).raw_gaps
     ).mean_r
     r_cha = ratio_stats(
-        spacings_from_quasienergies(eig500[7.0].sector("even")).raw_gaps
+        spacings_from_quasienergies(eig500[7.0].block("even").quasienergies).raw_gaps
     ).mean_r
     ok = abs(r_reg - 0.386) <= 0.02 and abs(r_cha - 0.527) <= 0.02
     assert report(
@@ -120,7 +120,7 @@ def test_criterion_1_spectral_crossover(eig500):
 
 def test_criterion_2_brody_exponent(eig500):
     betas = {
-        kappa: fit_brody(spacings_from_quasienergies(eig500[kappa].sector("even"))).beta
+        kappa: fit_brody(spacings_from_quasienergies(eig500[kappa].block("even").quasienergies)).beta
         for kappa in (0.4, 1.7, 7.0)
     }
     ok = betas[0.4] < 0.1 and betas[1.7] < 0.1 and betas[7.0] > 0.85

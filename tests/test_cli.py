@@ -153,7 +153,7 @@ def test_coeffdist_cdf_and_zeros_recomputed(tmp_path, threads):
         p = KickedTopParams(alpha=ALPHA_DEFAULT, kappa=kappa, j=15)
         theta, phi = haar_sphere(400, rng_for_task(0, idx))
         eig = FloquetEigensystem(tuple(diagonalize(p, s) for s in SECTORS), p)
-        w = coherent_weights(p.basis, eig, theta, phi)
+        w = coherent_weights(eig, theta, phi)
         x = (w * w.shape[1]).ravel()
         xs = np.sort(x[x > 0])
         _, cdf = read_csv(tmp_path / f"cdf_j15_kappa{tag}.csv")

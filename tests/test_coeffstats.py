@@ -264,7 +264,7 @@ def test_skld_clamps_no_bin_at_kappa3():
     p = KickedTopParams(alpha=4 * np.pi / 7, kappa=3.0, j=150)
     eig = FloquetEigensystem(tuple(diagonalize(p, s) for s in SECTORS), p)
     theta, phi = haar_sphere(10_000, rng_for_task(0, 2))
-    assert_no_bin_clamped(pool_rescaled(coherent_weights(p.basis, eig, theta, phi)), 2)
+    assert_no_bin_clamped(pool_rescaled(coherent_weights(eig, theta, phi)), 2)
 
 
 def test_distance_scale_invariance():

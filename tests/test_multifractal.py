@@ -65,7 +65,7 @@ def test_coherent_weights_match_dense_oracle(j, n_random, chosen, seed):
     eig = random_eigensystem(j)
     basis = SpinBasis(j)
     oracle = expand_states(coherent_state_matrix(basis, thetas, phis), eig)
-    weights = coherent_weights(basis, eig, thetas, phis)
+    weights = coherent_weights(eig, thetas, phis)
     assert weights.shape == oracle.shape
     assert np.max(np.abs(weights - oracle)) < 1e-12
 
@@ -79,29 +79,29 @@ def test_coherent_weights_match_dense_oracle_on_floquet_eigensystems(j, kappa):
     theta, phi = haar_sphere(2 * BLOCK_STATES + 9, rng_for_task(4))
     theta[:3] = (0.0, np.pi, 1e-9)
     oracle = expand_states(coherent_state_matrix(basis, theta, phi), eig)
-    assert np.max(np.abs(coherent_weights(basis, eig, theta, phi) - oracle)) < 1e-12
+    assert np.max(np.abs(coherent_weights(eig, theta, phi) - oracle)) < 1e-12
 
 
 def test_coherent_weights_permutation_equivariant():
     eig = random_eigensystem(30)
     theta, phi = haar_sphere(3 * BLOCK_STATES + 17, rng_for_task(2))
     perm = np.random.default_rng(3).permutation(theta.size)
-    weights = coherent_weights(SpinBasis(30), eig, theta, phi)
-    assert np.array_equal(coherent_weights(SpinBasis(30), eig, theta[perm], phi[perm]), weights[perm])
+    weights = coherent_weights(eig, theta, phi)
+    assert np.array_equal(coherent_weights(eig, theta[perm], phi[perm]), weights[perm])
 
 
 def test_averaged_dq_and_field_match_dense_oracle():
     j, qs = 60, (0.5, 1.0, 2.0, np.inf)
     eig = eigensystem(j, 3.0)
     basis = SpinBasis(j)
-    res = averaged_dq(basis, eig, n_samples=700, q_values=qs, seed=5, task_index=2)
+    res = averaged_dq(eig, n_samples=700, q_values=qs, seed=5, task_index=2)
     theta, phi = haar_sphere(700, rng_for_task(5, 2))
     s, d = renyi_dimensions(expand_states(coherent_state_matrix(basis, theta, phi), eig), qs)
     np.testing.assert_allclose(res.D_q, d.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(res.S_q, s.mean(axis=0), rtol=1e-12)
     np.testing.assert_allclose(res.stderr, d.std(axis=0, ddof=1) / np.sqrt(700), rtol=1e-12)
     grid = GridSpec(n_phi=13, n_theta=17)
-    field = dq_field(basis, eig, grid, qs)
+    field = dq_field(eig, grid, qs)
     phi, theta = grid.mesh()
     _, d = renyi_dimensions(expand_states(coherent_state_matrix(basis, theta, phi), eig), qs)
     np.testing.assert_allclose(field.values.reshape(-1, len(qs)), d, rtol=1e-12)
@@ -121,7 +121,7 @@ def test_dq_field_solves_half_and_mirrors_it(grid, mirrored):
     eig = eigensystem(j, 7.0)
     basis = SpinBasis(j)
     phi, theta = grid.mesh()
-    values = dq_field(basis, eig, grid, qs).values.reshape(-1, len(qs))
+    values = dq_field(eig, grid, qs).values.reshape(-1, len(qs))
     if mirrored:
         assert np.array_equal(values, values[::-1])
     else:
@@ -135,7 +135,7 @@ def test_averaged_dq_needs_two_samples():
     eig = eigensystem(10, 3.0)
     for n in (1, 0, -1):
         with pytest.raises(ValueError, match="n_samples"):
-            averaged_dq(SpinBasis(10), eig, n_samples=n)
+            averaged_dq(eig, n_samples=n)
 
 
 def test_localized_state_zero_dimensions():
@@ -179,7 +179,7 @@ def test_q_to_one_continuity():
 
 def test_expansion_weights_normalized():
     eig = eigensystem(60, 3.0)
-    weights = coherent_weights(SpinBasis(60), eig, [1.0], [2.0])[0]
+    weights = coherent_weights(eig, [1.0], [2.0])[0]
     assert abs(weights.sum() - 1.0) < 1e-10
     assert np.all(weights >= 0)
 
@@ -191,12 +191,6 @@ def test_eigenbasis_round_trip():
     assert np.max(np.abs(eig.eigenvectors @ w - state)) < 1e-8
 
 
-def test_dimension_mismatch_rejected():
-    eig = eigensystem(10, 3.0)
-    with pytest.raises(ValueError):
-        coherent_weights(SpinBasis(11), eig, [1.0], [1.0])
-
-
 def test_degenerate_gauge_pairing_at_trivial_floquet():
     # F = I: eigenvectors pair (m, -m) per parity with sharp compressed Jz^2;
     # weight sums per pair must reproduce the coherent-state probabilities
@@ -205,7 +199,7 @@ def test_degenerate_gauge_pairing_at_trivial_floquet():
     eig = eigensystem(j, 0.0, alpha=0.0)
     jz2 = basis.m_values**2
     mm2 = np.real(np.sum(eig.eigenvectors.conj() * (jz2[:, None] * eig.eigenvectors), axis=0))
-    w = coherent_weights(basis, eig, [1.1], [0.7])[0]
+    w = coherent_weights(eig, [1.1], [0.7])[0]
     cm2 = np.abs(coherent_state_matrix(basis, [1.1], [0.7])[:, 0]) ** 2
     for m in range(j + 1):
         pair = np.abs(mm2 - m * m) < 1e-6
@@ -247,25 +241,24 @@ def test_integrable_point_matches_analytic_weights():
 )
 def test_chaotic_equator_state_delocalized_at_symmetric_point():
     eig = eigensystem(150, 7.0)
-    _, d = renyi_dimensions(coherent_weights(SpinBasis(150), eig, [np.pi / 2], [np.pi]), (1.0, 2.0, np.inf))
+    _, d = renyi_dimensions(coherent_weights(eig, [np.pi / 2], [np.pi]), (1.0, 2.0, np.inf))
     assert d[0, 1] > 0.8
 
 
 def test_chaotic_equator_state_delocalized_generic_point():
     eig = eigensystem(150, 7.0)
-    basis = SpinBasis(150)
     # the (pi/2, pi) state sits entirely in one parity sector
-    sym = coherent_weights(basis, eig, [np.pi / 2], [np.pi])[0]
+    sym = coherent_weights(eig, [np.pi / 2], [np.pi])[0]
     odd_weight = sym[eig.parities == -1].sum()
     assert odd_weight < 1e-10
     phis = [0.5, 2.0, 4.0]
-    _, d = renyi_dimensions(coherent_weights(basis, eig, np.full(3, np.pi / 2), phis), (1.0, 2.0, np.inf))
+    _, d = renyi_dimensions(coherent_weights(eig, np.full(3, np.pi / 2), phis), (1.0, 2.0, np.inf))
     assert np.all(d[:, 1] > 0.8)
 
 
 def test_field_regular_regime_has_localized_cells():
     eig = eigensystem(150, 0.4)
-    field = dq_field(SpinBasis(150), eig, GridSpec(n_phi=40, n_theta=40), (2.0,))
+    field = dq_field(eig, GridSpec(n_phi=40, n_theta=40), (2.0,))
     d2 = field.component(2.0)
     assert d2.min() < 0.2  # fixed-point neighborhoods
     assert d2.mean() < 0.65
@@ -273,14 +266,14 @@ def test_field_regular_regime_has_localized_cells():
 
 def test_field_mixed_regime_bimodal():
     eig = eigensystem(150, 3.0)
-    field = dq_field(SpinBasis(150), eig, GridSpec(n_phi=40, n_theta=40), (2.0,))
+    field = dq_field(eig, GridSpec(n_phi=40, n_theta=40), (2.0,))
     d2 = field.component(2.0)
     assert np.any(d2 < 0.3) and np.any(d2 > 0.7)
 
 
 def test_field_chaotic_regime_uniform():
     eig = eigensystem(150, 7.0)
-    field = dq_field(SpinBasis(150), eig, GridSpec(n_phi=40, n_theta=40), (1.0, 2.0, np.inf))
+    field = dq_field(eig, GridSpec(n_phi=40, n_theta=40), (1.0, 2.0, np.inf))
     d2 = field.component(2.0)
     assert d2.mean() > 0.8
     assert d2.std() < 0.05
@@ -290,10 +283,9 @@ def test_field_chaotic_regime_uniform():
 
 def test_averaged_dq_reproducible_and_seeded():
     eig = eigensystem(60, 3.0)
-    basis = SpinBasis(60)
-    a = averaged_dq(basis, eig, n_samples=500, q_values=(1.0, 2.0), seed=3)
-    b = averaged_dq(basis, eig, n_samples=500, q_values=(1.0, 2.0), seed=3)
-    c = averaged_dq(basis, eig, n_samples=500, q_values=(1.0, 2.0), seed=4)
+    a = averaged_dq(eig, n_samples=500, q_values=(1.0, 2.0), seed=3)
+    b = averaged_dq(eig, n_samples=500, q_values=(1.0, 2.0), seed=3)
+    c = averaged_dq(eig, n_samples=500, q_values=(1.0, 2.0), seed=4)
     assert np.array_equal(a.D_q, b.D_q)
     assert not np.array_equal(a.D_q, c.D_q)
     assert np.max(np.abs(a.D_q - c.D_q)) < 6 * np.max(a.stderr + c.stderr)
@@ -306,7 +298,7 @@ def test_averaged_dq_size_dependence_by_regime():
     for kappa in (0.4, 7.0):
         for idx, j in enumerate((100, 300)):
             eig = eigensystem(j, kappa)
-            res = averaged_dq(SpinBasis(j), eig, n_samples=800, q_values=(2.0,), seed=0,
+            res = averaged_dq(eig, n_samples=800, q_values=(2.0,), seed=0,
                               task_index=idx)
             values[(kappa, j)] = res.D_q[0]
     regular_shift = values[(0.4, 300)] - values[(0.4, 100)]
