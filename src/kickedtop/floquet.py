@@ -159,10 +159,6 @@ class FloquetEigensystem:
         """The sector 'even' or 'odd'; ValueError for another name."""
         return self.sectors[_parity(parity) == ODD]
 
-    def sector(self, parity: str) -> np.ndarray:
-        """Quasienergies of one parity sector ('even' or 'odd'), sorted (the stored array)."""
-        return self.block(parity).quasienergies
-
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Quasienergies and parities of the sectors side by side, and ``order``."""
         nu = np.concatenate([s.quasienergies for s in self.sectors])

@@ -212,7 +212,7 @@ def test_header_of_other_sector_or_params_is_a_miss(tmp_path, sector):
         with pytest.raises(CacheFormatError, match=f"not the {sector} sector"):
             load_eigensystem(path, PARAMS, sector)
         got = cached_eigensystem(PARAMS, sector, tmp_path)
-        assert np.array_equal(got.quasienergies, eig.sector(sector))
+        assert np.array_equal(got.quasienergies, eig.block(sector).quasienergies)
         assert np.array_equal(got.vectors, eig.block(sector).vectors)
         assert_sector_file(path, sector)  # overwritten
 
@@ -317,7 +317,7 @@ def test_v3_file_is_a_miss(tmp_path, sector):
     with pytest.raises(CacheFormatError, match="version 3"):
         load_eigensystem(path, PARAMS, sector)
     again = cached_eigensystem(PARAMS, sector, tmp_path)
-    assert np.array_equal(again.quasienergies, eig.sector(sector))
+    assert np.array_equal(again.quasienergies, eig.block(sector).quasienergies)
     assert_sector_file(path, sector)
 
 
@@ -333,7 +333,6 @@ def test_unknown_sector_name_is_a_value_error(tmp_path, name):
     eig = fresh_eigensystem()
     calls = (
         eig.block,
-        eig.sector,
         lambda s: diagonalize(PARAMS, s),
         lambda s: load_eigensystem(tmp_path / "x.ktc", PARAMS, s),
         lambda s: cached_eigensystem(PARAMS, s, tmp_path),

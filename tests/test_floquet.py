@@ -187,7 +187,7 @@ def test_two_diagonalization_routes_agree():
     assert circle_distance(eig.quasienergies, z) < 1e-8
     pexp = np.real(np.sum(vecs.conj() * (flip(params.basis.dim) @ vecs), axis=0))
     for parity, sign in (("even", 1), ("odd", -1)):
-        assert circle_distance(eig.sector(parity), z[np.sign(pexp) == sign]) < 1e-8
+        assert circle_distance(eig.block(parity).quasienergies, z[np.sign(pexp) == sign]) < 1e-8
     gram = eig.eigenvectors.conj().T @ eig.eigenvectors
     assert np.max(np.abs(gram - np.eye(121))) < 1e-8
 
@@ -422,7 +422,7 @@ def test_sectors_match_full_row_oracle(j, kappa):
         _, o = np.linalg.eigh(block.real + floquet._MIX * block.imag)
         nu = np.arctan2(np.sum(o * (block.imag @ o), axis=0), np.sum(o * (block.real @ o), axis=0))
         nu[nu >= np.pi] -= 2 * np.pi
-        assert np.max(np.abs(np.sort(nu) - eig.sector(parity))) <= 1e-13
+        assert np.max(np.abs(np.sort(nu) - eig.block(parity).quasienergies)) <= 1e-13
     r = eig.real_vectors
     assert np.max(np.abs(r.T @ r - np.eye(2 * j + 1))) <= 1e-14
     assert eig.max_residual <= 1e-9

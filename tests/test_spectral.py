@@ -140,13 +140,13 @@ def eig_j200():
 
 
 def test_kicked_top_regular_regime(eig_j200):
-    ens = spacings_from_quasienergies(eig_j200[0.4].sector("even"))
+    ens = spacings_from_quasienergies(eig_j200[0.4].block("even").quasienergies)
     assert fit_brody(ens).beta < 0.2
     assert abs(ratio_stats(ens.raw_gaps).mean_r - 0.386) < 0.04
 
 
 def test_kicked_top_chaotic_regime(eig_j200):
-    ens = spacings_from_quasienergies(eig_j200[7.0].sector("even"))
+    ens = spacings_from_quasienergies(eig_j200[7.0].block("even").quasienergies)
     assert fit_brody(ens).beta > 0.8
     assert abs(ratio_stats(ens.raw_gaps).mean_r - 0.527) < 0.04
 
@@ -156,7 +156,7 @@ def test_sectors_fit_consistently(eig_j200):
     # Poisson, so they are always analyzed separately
     for kappa, spread in ((0.4, 0.15), (7.0, 0.15)):
         betas = [
-            fit_brody(spacings_from_quasienergies(eig_j200[kappa].sector(s))).beta
+            fit_brody(spacings_from_quasienergies(eig_j200[kappa].block(s).quasienergies)).beta
             for s in ("even", "odd")
         ]
         assert abs(betas[0] - betas[1]) < spread
@@ -166,5 +166,5 @@ def test_mixed_sectors_fake_poisson(eig_j200):
     # superposition of the two independent sequences kills level repulsion
     eig = eig_j200[7.0]
     mixed = spacings_from_quasienergies(np.sort(eig.quasienergies))
-    even = spacings_from_quasienergies(eig.sector("even"))
+    even = spacings_from_quasienergies(eig.block("even").quasienergies)
     assert fit_brody(mixed).beta < 0.35 < fit_brody(even).beta
