@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-import math
-from math import floor, lgamma
+from math import erf, erfc, floor, lgamma, pi, sqrt
 
 import numpy as np
 
@@ -149,7 +148,7 @@ def chisq_cdf(x, nu: int, mean_x: float = 1.0):
     """
     u = _chisq_argument(x, nu, mean_x)
     if nu == 1:
-        return _map(math.erf, np.sqrt(u))
+        return _map(erf, np.sqrt(u))
     if nu == 2:
         return -np.expm1(-u)
     series = np.ones_like(u)
@@ -180,8 +179,8 @@ def _chisq_sf(x, nu: int, mean_x: float = 1.0):
     hi -= hi - z
     lo = z - hi
     residual = (u - z2) - (((hi * hi - z2) + 2.0 * hi * lo) + lo * lo)  # u - z^2
-    slope = np.divide(np.exp(-u), z * math.sqrt(math.pi), out=np.zeros_like(z), where=z > 0)
-    return (_map(math.erfc, z) - residual * slope)[()]
+    slope = np.divide(np.exp(-u), z * sqrt(pi), out=np.zeros_like(z), where=z > 0)
+    return (_map(erfc, z) - residual * slope)[()]
 
 
 def _chisq_argument(x, nu: int, mean_x: float) -> np.ndarray:

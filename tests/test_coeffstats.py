@@ -67,6 +67,13 @@ def test_cdf_limits():
     assert chisq_cdf(0.0, 2, 1.0) == 0.0
     assert abs(chisq_cdf(1e4, 2, 1.0) - 1.0) < 1e-12
     assert abs(chisq_cdf(1e4, 1, 1.0) - 1.0) < 1e-12
+    for nu in (1, 2, 4):
+        assert chisq_cdf(-1.0, nu) == chisq_cdf(0.0, nu) == 0.0
+        assert chisq_cdf(1e4, nu) == chisq_cdf(np.inf, nu) == 1.0
+        assert coeffstats._chisq_sf(0.0, nu) == 1.0 and coeffstats._chisq_sf(np.inf, nu) == 0.0
+        assert np.isnan(chisq_cdf(np.nan, nu))
+        assert np.ndim(chisq_cdf(1.0, nu)) == np.ndim(coeffstats._chisq_sf(1.0, nu)) == 0
+        assert chisq_cdf(np.ones((2, 3)), nu).shape == (2, 3)
 
 
 def test_cdf_exponential_median():
@@ -87,18 +94,11 @@ CDF_GRID = np.logspace(-40, np.log10(60.0), 2001)
 
 @pytest.mark.parametrize("nu", [1, 2, 4])
 @pytest.mark.parametrize("mean_x", [0.5, 1.0, 2.0])
-def test_cdf_closed_forms_match_gammainc(nu, mean_x):
+def test_closed_forms_match_gammainc(nu, mean_x):
     x = CDF_GRID * mean_x
-    ref = gammainc(0.5 * nu, 0.5 * nu * x / mean_x)
-    assert np.max(np.abs(chisq_cdf(x, nu, mean_x) / ref - 1)) < 5e-14
-
-
-@pytest.mark.parametrize("nu", [1, 2, 4])
-@pytest.mark.parametrize("mean_x", [0.5, 1.0, 2.0])
-def test_survival_forms_match_gammaincc(nu, mean_x):
-    x = CDF_GRID * mean_x
-    ref = gammaincc(0.5 * nu, 0.5 * nu * x / mean_x)
-    assert np.max(np.abs(coeffstats._chisq_sf(x, nu, mean_x) / ref - 1)) < 5e-14
+    u = 0.5 * nu * x / mean_x
+    assert np.max(np.abs(chisq_cdf(x, nu, mean_x) / gammainc(0.5 * nu, u) - 1)) < 5e-14
+    assert np.max(np.abs(coeffstats._chisq_sf(x, nu, mean_x) / gammaincc(0.5 * nu, u) - 1)) < 5e-14
 
 
 # x/<x> at which Q falls to about 1e-300
@@ -109,22 +109,12 @@ TAIL_END = {1: 1376.0, 2: 690.0, 4: 348.0}
 @pytest.mark.parametrize("mean_x", [0.5, 1.0, 2.0])
 def test_survival_forms_deep_in_the_tail(nu, mean_x):
     # against 40-digit mpmath: gammaincc itself errs by up to 1.1e-13 relative out here
-    mpmath.mp.dps = 40
     t = np.linspace(60.0, TAIL_END[nu], 120)
-    exact = np.array([float(mpmath.gammainc(mpmath.mpf(nu) / 2, 0.5 * nu * v, mpmath.inf, regularized=True))
-                      for v in t])  # u = nu t / 2 is exact in doubles, and so is x / <x> = t
+    with mpmath.workdps(40):  # u = nu t / 2 is exact in doubles, and so is x / <x> = t
+        exact = np.array([float(mpmath.gammainc(mpmath.mpf(nu) / 2, 0.5 * nu * v, mpmath.inf, regularized=True))
+                          for v in t])
     assert 1e-301 < exact[-1] < 1e-299
     assert np.max(np.abs(coeffstats._chisq_sf(t * mean_x, nu, mean_x) / exact - 1)) < 5e-14
-
-
-@pytest.mark.parametrize("nu", [1, 2, 4])
-def test_cdf_scalars_and_limits(nu):
-    assert chisq_cdf(-1.0, nu) == chisq_cdf(0.0, nu) == 0.0
-    assert chisq_cdf(1e4, nu) == chisq_cdf(np.inf, nu) == 1.0
-    assert np.isnan(chisq_cdf(np.nan, nu))
-    assert np.ndim(chisq_cdf(1.0, nu)) == 0 and chisq_cdf(np.ones((2, 3)), nu).shape == (2, 3)
-    assert coeffstats._chisq_sf(0.0, nu) == 1.0 and coeffstats._chisq_sf(np.inf, nu) == 0.0
-    assert np.ndim(coeffstats._chisq_sf(1.0, nu)) == 0
 
 
 @pytest.mark.parametrize("nu", [1, 2, 4])
