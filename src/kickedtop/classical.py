@@ -483,6 +483,18 @@ def kappa_threshold(
     return kappa_c[0] if single else kappa_c
 
 
+def _wrap_phi(phi, scratch):
+    """``phi % (2 pi)`` of angles phi in [-pi, pi], bit for bit, in place;
+    ``scratch``, of phi's shape, is clobbered.
+
+    Adding 0.0 or 2 pi is the one rounding that ``%`` makes: -0.0 becomes
+    +0.0 and -5e-324 becomes 2 pi.  It costs about a tenth of
+    ``np.remainder`` and allocates nothing.
+    """
+    phi += np.multiply(phi < 0, 2 * np.pi, out=scratch)
+    return phi
+
+
 def phase_portrait(params, n_orbits: int = 289, n_kicks: int = 300, seed: int = 0, scan=None):
     """Stroboscopic (phi, theta) points of random orbits.
 
@@ -514,9 +526,9 @@ def phase_portrait(params, n_orbits: int = 289, n_kicks: int = 300, seed: int = 
                 record[:, i] = s
                 if first + i < n_kicks:
                     _kick(*s, sa, ca, kappa, scratch)
-            x, y, z = record[:, :size]
-            phis[rows, first : first + size] = (np.arctan2(y, x) % (2 * np.pi)).T
-            thetas[rows, first : first + size] = np.arccos(np.clip(z, -1.0, 1.0)).T
+            x, y, z = record[:, :size]  # clobbered: the angles are taken in place
+            phis[rows, first : first + size] = _wrap_phi(np.arctan2(y, x, out=x), y).T
+            thetas[rows, first : first + size] = np.arccos(np.clip(z, -1.0, 1.0, out=z), out=z).T
 
     _chunked(s0.shape[0], scan, chunk, np.sin(alpha), np.cos(alpha), kappa)
     orbit_id = np.repeat(np.arange(n_orbits), n_kicks + 1)

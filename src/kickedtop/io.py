@@ -10,10 +10,17 @@ A table of at least ``_MIN_ROWS`` rows whose columns are all 1-D float
 (up to float64) or integer arrays is written in blocks of
 ``_BLOCK_ROWS`` rows, each block laid out as bytes by numpy kernels and
 written at once; its bytes equal the per-cell ``repr``/``str`` text.
-Each column's kernel first finds its cell width, then writes its cells
-straight into their columns of one preallocated (rows x line width)
-byte matrix and validity mask, beside the separators; one boolean
-gather per block turns the matrix into the rows.
+The float columns of a block find their digits in one search over all
+their cells, two columns at a time (``_PASS_COLUMNS``), so each numpy
+call of the search pays its fixed cost once for both; each column then
+takes its own slice of the results, its own width and its own ``repr``
+cells.  Each column's kernel writes its cells straight into their
+columns of one preallocated (rows x line width) byte matrix, beside the
+separators, with NUL in every byte that its text does not fill; one
+``bytes.translate`` per block strips the NULs (no byte of a text is
+NUL) and leaves the rows.  The kernels work in place where they can:
+the heap is trimmed after each block, so every page that a block's
+peak holds is faulted in again by the next block.
 Integers are cut into digits by repeated integer division.  A float
 x with 1e-4 <= |x| < 1e15 gets ``repr``'s digits in positional layout:
 x * 10^s, with s giving 17 significant digits, is formed exactly as a
@@ -27,8 +34,10 @@ when the kernel cannot decide it exactly: non-finite values and zero,
 |x| outside [1e-4, 1e15) (which ``repr`` may write in exponent form),
 exact powers of two (whose rounding interval is asymmetric), and any
 candidate within a relative 2^-30 of the interval edge or of a
-rounding tie.  Float32 and float16 cells are formatted from their exact
-float64 value, and uint64 columns above 2^63 - 1 go through ``str``.
+rounding tie.  So does every cell still undecided once a search is down
+to ``_TAIL_CELLS`` of them.  Float32 and float16 cells are formatted
+from their exact float64 value, and uint64 columns above 2^63 - 1 go
+through ``str``.
 Shorter tables, and tables with other columns (bool, str, object,
 complex, longdouble), are written cell by cell through ``_fmt``, which
 writes a longdouble cell as the ``repr`` of its float64 rounding.
@@ -51,15 +60,27 @@ import numpy as np
 # cost (about 0.35 ms for two float columns) is more than repr's there;
 # the two break even at 300-400 rows.
 _MIN_ROWS = 400
-# Rows per block.  2048 to 8192 take the same CPU on `portrait` CSVs;
-# 16384 raised the peak RSS of a 10^4-row `lyapunov` field by 2.8 MB.
+# Rows per block.  With one digit search per column, 8192 rows were 22%
+# faster in-process on `portrait` CSVs but 9% slower in fresh processes
+# (2 of 12 pairs won); with the merged search they won 12 of 14 fresh
+# pairs (-14% CPU) at 1 MB more peak RSS, not yet weighed by the
+# benchmark.  16384 raised the peak RSS of a 10^4-row `lyapunov` field
+# by 2.8 MB.
 _BLOCK_ROWS = 4096
+# Float columns of a block share one digit search, this many at a time.
+# Three at a time doubled the minor page faults of writing a 10^4-row
+# `lyapunov` field (883 against 442 per call).
+_PASS_COLUMNS = 2
+# A digit search stops with this many undecided cells or fewer and hands
+# them to repr: its last passes cost more than repr does for them.
+_TAIL_CELLS = 48
 
 _FIXED_LO, _FIXED_HI = 1e-4, 1e15  # |x| laid out here; repr's positional range runs to 1e16
 _BAND = 2.0**-30  # relative band around an acceptance edge or tie that goes to repr
 _FILLER = 0.1 + 0.2  # stands in for repr's cells; its 17 digits leave the loop at once
 _MANTISSA = np.uint64((1 << 52) - 1)
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter
+_MINUS = np.uint8(ord("-"))
 
 
 def _ceil_decade(k: int) -> float:
@@ -120,18 +141,35 @@ def _kernel_column(a: np.ndarray) -> bool:
     return a.ndim == 1 and (a.dtype.kind in "iu" or (a.dtype.kind == "f" and a.dtype.itemsize <= 8))
 
 
-def _scaled(x, xh, xl, s):
-    """x * 10^s = D + frac for integer D, with frac rounded once."""
+def _scaled(x, s):
+    """x * 10^s = D + frac for integer D, with frac rounded once.
+
+    The in-place steps and ``del`` keep the temporaries that are alive at
+    once few, and with them the pages the next block faults in again."""
+    xh = _SPLIT * x
+    xh -= xh - x  # Veltkamp: xh + xl = x, halves of at most 26 bits
+    xl = x - xh
     p, ph, pl = _POW10.take(s), _POW10_HI.take(s), _POW10_LO.take(s)
     hi = x * p
-    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl  # Dekker: hi + lo = x * p exactly
+    lo = xh * ph
+    lo -= hi
+    lo += xh * pl
+    lo += xl * ph
+    lo += xl * pl  # Dekker: hi + lo = x * p exactly
+    del xh, xl, p, ph, pl
     a = np.rint(hi)
-    r = hi - a  # exact
+    r = np.subtract(hi, a, out=hi)  # exact
     f = r + lo
     t = f - r
-    e = (r - (f - t)) + (lo - t)  # Knuth: f + e = r + lo exactly
+    lo -= t
+    r -= f - t
+    e = np.add(r, lo, out=r)  # Knuth: f + e = r + lo exactly
     b = np.rint(f)
-    return a.astype(np.int64) + b.astype(np.int64), (f - b) + e
+    f -= b
+    f += e
+    D = a.astype(np.int64)
+    D += b.astype(np.int64)
+    return D, f
 
 
 def _shortest(ax):
@@ -139,14 +177,14 @@ def _shortest(ax):
     that are not powers of two: (D, s, slow) with repr's digits those of
     D * 10^-s, s >= 0; ``slow`` marks the cells left to ``repr``."""
     expo = (ax.view(np.uint64) >> np.uint64(52)).astype(np.int64)
-    e10 = _E10_LOW.take(expo - _EXP0)
-    e10 += ax >= _DECADES.take(e10 + (_DEC0 + 1))  # now floor(log10(ax)), exactly
-    s = 16 - e10
-    c = _SPLIT * ax
-    xh = c - (c - ax)
-    D, frac = _scaled(ax, xh, ax - xh, s)
-    half_ulp = ((expo - 53) << 52).view(np.float64)
-    h = half_ulp * _POW10.take(s)  # exact
+    s = _E10_LOW.take(expo - _EXP0)
+    s += ax >= _DECADES.take(s + (_DEC0 + 1))  # now floor(log10(ax)), exactly
+    np.subtract(16, s, out=s)
+    expo -= 53
+    expo <<= 52
+    h = expo.view(np.float64)  # half an ulp of ax
+    h *= _POW10.take(s)  # exact
+    D, frac = _scaled(ax, s)
     slow = np.abs(np.abs(frac) - 0.5) <= _BAND
     # Drop the last digit of q while q rounded (down, or up by one) stays
     # within h of x * 10^s = q * unit + rem + frac.
@@ -170,7 +208,8 @@ def _shortest(ax):
         s[rows] -= ok
         live = ok & (s[rows] > 0)
         left = np.count_nonzero(live)
-        if left == 0:
+        if left <= _TAIL_CELLS:
+            slow[rows] |= live
             break
         if left < live.size // 4:
             keep = np.flatnonzero(live)
@@ -194,11 +233,12 @@ def _put_digits(out, v):
         v = q
 
 
-def _leading(out, v, table):
-    """Mark in the bool columns of ``out`` the digits of v, right-aligned."""
-    thr = table[out.shape[1] - 1 :: -1].copy()
-    thr[-1] = 0
-    np.greater_equal(v[:, None], thr, out=out)
+def _blank_leading(out, v, table):
+    """NUL over the leading zeros that ``_put_digits`` wrote for v into
+    the uint8 columns of ``out``; ``table`` holds the powers of ten."""
+    w = out.shape[1]
+    for k in range(w - 1):  # one column at a time: a 2-D pass over short rows costs more
+        out[:, k] *= (v >= table[w - 1 - k]).view(np.uint8)
 
 
 def _texts(texts) -> np.ndarray:
@@ -207,64 +247,73 @@ def _texts(texts) -> np.ndarray:
     return t.view(np.uint8).reshape(t.size, t.itemsize)
 
 
-def _put_texts(chars, valid, idx, t):
-    """Overwrite the rows ``idx`` of a cell matrix with the texts ``t``."""
+def _put_texts(chars, idx, t):
+    """Overwrite the rows ``idx`` of a cell matrix with the NUL-padded texts ``t``."""
     if len(idx):
+        chars[idx, t.shape[1] :] = 0
         chars[idx, : t.shape[1]] = t
-        valid[idx] = False
-        valid[idx, : t.shape[1]] = t != 0
 
 
-def _float_cells(x):
-    """(width, write): the repr text of float64 cells x is laid out by
-    ``write(chars, valid)`` into (cells x width) uint8 and bool views,
-    as the bytes of ``chars`` where ``valid`` is set, row by row."""
+def _float_cells(columns):
+    """[(width, write)] of the repr text of equal-length float columns,
+    their digits found in one pass over all their cells: ``write(chars)``
+    lays one column's cells into a (cells x width) uint8 view, row by
+    row, with NUL wherever no byte of the text goes."""
+    x = np.concatenate(columns, dtype=np.float64)
     ax = np.abs(x)
     fast = (ax >= _FIXED_LO) & (ax < _FIXED_HI) & ((x.view(np.uint64) & _MANTISSA) != 0)
-    D, s, slow = _shortest(np.where(fast, ax, _FILLER))
+    np.copyto(ax, _FILLER, where=~fast)
+    D, s, slow = _shortest(ax)
+    del ax
     scale = _POW10_INT.take(np.minimum(s, 18))  # D < 10^18 <= 10^s beyond
     ip = D // scale
     fp = D - ip * scale
+    back = ~fast | slow
+    n = len(columns[0])
+    return [_float_column(*(a[i : i + n] for a in (x, ip, fp, s, back))) for i in range(0, x.size, n)]
+
+
+def _float_column(x, ip, fp, s, back):
+    """(width, write) of one column of ``_float_cells``, with its own
+    width and its own cells left to ``repr``."""
     wi = len(str(int(ip.max(initial=0))))
     wf = max(int(s.max(initial=0)), 1)
-    back = np.flatnonzero(~fast | slow)
+    back = np.flatnonzero(back)
     texts = _texts(map(repr, x[back].tolist()))
 
-    def write(chars, valid):
-        chars[:, 0] = ord("-")
-        valid[:, 0] = x < 0
+    def write(chars):
+        chars[:, 0] = (x < 0) * _MINUS
         _put_digits(chars[:, 1 : wi + 1], ip)
-        _leading(valid[:, 1 : wi + 1], ip, _POW10_INT)
+        _blank_leading(chars[:, 1 : wi + 1], ip, _POW10_INT)
         chars[:, wi + 1] = ord(".")
-        valid[:, wi + 1] = True
         _put_digits(chars[:, wi + 2 : wi + wf + 2], fp)
         thr = np.arange(wf, 0, -1)
         thr[-1] = 0  # "x.0" for s = 0
-        # row k of the table marks k fraction digits; a row gather is
+        # row k of the table keeps k fraction digits; a row gather is
         # cheaper than comparing every cell with its threshold
-        valid[:, wi + 2 : wi + wf + 2] = (np.arange(wf + 1)[:, None] >= thr).take(s, axis=0)
-        valid[:, wi + wf + 2 :] = False
-        _put_texts(chars, valid, back, texts)
+        keep = (np.arange(wf + 1)[:, None] >= thr).view(np.uint8)
+        chars[:, wi + 2 : wi + wf + 2] *= keep.take(s, axis=0)
+        chars[:, wi + wf + 2 :] = 0
+        _put_texts(chars, back, texts)
 
     return max(wi + wf + 2, texts.shape[1]), write
 
 
 def _int_cells(v):
     """(width, write) of the str text of int64 or uint64 cells, as
-    ``_float_cells`` gives them."""
+    ``_float_column`` gives them."""
     if v.dtype == np.uint64 and v.size and v.max() > np.iinfo(np.int64).max:
         texts = _texts(map(str, v.tolist()))
-        return texts.shape[1], lambda chars, valid: _put_texts(chars, valid, np.arange(v.size), texts)
+        return texts.shape[1], lambda chars: _put_texts(chars, np.arange(v.size), texts)
     v = v.astype(np.int64)
     mag = v.view(np.uint64).copy()
     np.negative(mag, out=mag, where=v < 0)  # |v| modulo 2^64, right for -2^63 too
     w = len(str(int(mag.max(initial=0))))
 
-    def write(chars, valid):
-        chars[:, 0] = ord("-")
-        valid[:, 0] = v < 0
+    def write(chars):
+        chars[:, 0] = (v < 0) * _MINUS
         _put_digits(chars[:, 1:], mag)
-        _leading(valid[:, 1:], mag, _POW10_UINT)
+        _blank_leading(chars[:, 1:], mag, _POW10_UINT)
 
     return w + 1, write
 
@@ -272,18 +321,24 @@ def _int_cells(v):
 def _block_bytes(arrays) -> bytes:
     """The CSV data rows of equal-length numeric column blocks: every
     column's cells, each followed by its separator, are written into one
-    (rows x line width) matrix and gathered once."""
-    cells = [_float_cells(a.astype(np.float64)) if a.dtype.kind == "f" else _int_cells(a) for a in arrays]
+    (rows x line width) matrix, NUL where a cell is shorter than its
+    column, and the NULs are stripped once (no byte of a text is NUL)."""
+    floats = [k for k, a in enumerate(arrays) if a.dtype.kind == "f"]
+    cells = {}
+    for i in range(0, len(floats), _PASS_COLUMNS):
+        keys = floats[i : i + _PASS_COLUMNS]
+        cells.update(zip(keys, _float_cells([arrays[k] for k in keys])))
+    cells = [cells.get(k) or _int_cells(a) for k, a in enumerate(arrays)]
     chars = np.empty((arrays[0].shape[0], sum(w + 1 for w, _ in cells)), dtype=np.uint8)
-    valid = np.empty(chars.shape, dtype=bool)
     col = 0
     for w, write in cells:
-        write(chars[:, col : col + w], valid[:, col : col + w])
+        write(chars[:, col : col + w])
         chars[:, col + w] = ord(",")
-        valid[:, col + w] = True
         col += w + 1
     chars[:, -1] = ord("\n")
-    return chars[valid].tobytes()
+    raw = chars.tobytes()
+    del chars, cells
+    return raw.translate(None, b"\0")
 
 
 def _atomic_write(path, chunks) -> Path:

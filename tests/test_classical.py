@@ -299,8 +299,10 @@ def test_portrait_regular_orbits_conserve_theta_band():
 
 
 def test_portrait_points_follow_classical_step():
+    # 41 points per orbit fill two record blocks; the angles are compared bit for bit
     p = params(kappa=7.0)
     n_orbits, n_kicks = 6, 40
+    assert n_kicks + 1 > classical.RECORD_KICKS
     phi, theta, orbit = phase_portrait(p, n_orbits=n_orbits, n_kicks=n_kicks, seed=4)
     theta0, phi0 = haar_sphere(n_orbits, rng_for_task(4))
     s = np.stack(
@@ -313,7 +315,18 @@ def test_portrait_points_follow_classical_step():
     points = np.array(points)  # (kick, phi/theta, orbit)
     for k in range(n_orbits):
         mask = orbit == k
-        assert np.array_equal(np.column_stack([phi[mask], theta[mask]]), points[:, :, k])
+        got = np.column_stack([phi[mask], theta[mask]])
+        assert np.array_equal(got.view(np.uint64), points[:, :, k].view(np.uint64))
+
+
+def test_phi_wrap_is_remainder_bit_for_bit():
+    edges = [-0.0, 0.0, np.pi, -np.pi, 5e-324, -5e-324, np.nextafter(-np.pi, 0),
+             np.nextafter(np.pi, 0), -1e-300, np.nan]
+    uniform = np.random.default_rng(9).uniform(-np.pi, np.pi, 10**6)
+    for phi in (np.array(edges), uniform):
+        want = phi % (2 * np.pi)
+        got = classical._wrap_phi(phi.copy(), np.empty_like(phi))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------- batched kernel

@@ -82,21 +82,37 @@ def per_cell_bytes(cols, meta):
     return ("\n".join(lines) + "\n").encode()
 
 
+FLOAT64 = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.floats(
+    min_value=1e-4, max_value=1e15
+)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
-    values=hnp.arrays(
-        np.float64,
-        st.integers(1, 40),
-        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
-        | st.floats(min_value=1e-4, max_value=1e15),
-    ),
+    data=st.data(),
+    n=st.integers(1, 40),
     block=st.integers(1, 8),
+    tail=st.sampled_from([0, io._TAIL_CELLS]),
 )
-def test_block_kernel_matches_repr_on_any_float64(tmp_path_factory, values, block):
+def test_block_kernel_matches_repr_on_any_float64(tmp_path_factory, data, n, block, tail):
+    # x and f32 share a digit pass and y takes one of its own; the columns are
+    # drawn independently, so each must keep its own width and repr cells
+    cols = {
+        "x": data.draw(hnp.arrays(np.float64, n, elements=FLOAT64)),
+        "f32": data.draw(hnp.arrays(np.float32, n, elements=st.floats(width=32))),
+        "y": data.draw(hnp.arrays(np.float64, n, elements=FLOAT64)),
+        "i": data.draw(hnp.arrays(np.int64, n)),
+    }
+    assert io._PASS_COLUMNS == 2
     path = tmp_path_factory.mktemp("prop") / "p.csv"
-    with mock.patch.object(io, "_MIN_ROWS", 1), mock.patch.object(io, "_BLOCK_ROWS", block):
-        write_csv(path, {"x": values, "neg": -values}, {"s": 1})
-    assert path.read_bytes() == per_cell_bytes({"x": values, "neg": -values}, {"s": 1})
+    with mock.patch.object(io, "_MIN_ROWS", 1), mock.patch.object(io, "_BLOCK_ROWS", block), \
+            mock.patch.object(io, "_TAIL_CELLS", tail):
+        write_csv(path, cols, {"s": 1})
+        merged = io._float_cells([cols["x"], cols["f32"]])
+        alone = io._float_cells([cols["x"]]) + io._float_cells([cols["f32"]])
+    assert path.read_bytes() == per_cell_bytes(cols, {"s": 1})
+    if tail == 0:  # a search run to its end decides each cell on its own
+        assert [w for w, _ in merged] == [w for w, _ in alone]
 
 
 def test_block_kernel_matches_repr_on_a_million_values(tmp_path):
