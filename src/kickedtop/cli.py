@@ -472,6 +472,9 @@ def cmd_multifractal(args) -> int:
             raise UsageError("scaling mode expects a single --kappa value")
         kappa = float(kappas[0])
         points = run.grid(kappas, parse_values(str(run.opt("j-list", SCALING_JS, str))))
+        if len({p.j for p in points}) < 2:
+            raise UsageError(f"scaling mode fits over N and needs at least two distinct --j-list values, "
+                             f"got {run.resolved['j-list']!r}")
         results = run.scan(averaged, points)
         point_rows, fit_rows = [], []
         for l, q in enumerate(qs):

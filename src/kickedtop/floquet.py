@@ -114,7 +114,8 @@ class FloquetEigensystem:
     v_i = diag(h) r_i c_i with r_i real, the mirrored half vector of its
     sector, and c_i a unit phase per column, so weights
     |<v_i|psi>|^2 = |r_i^T (h* psi)|^2 need no complex matrix, and no
-    N x N one either: r_i^T y = o_i^T fold(y) (see
+    N x N one either: r_i^T y = o_i^T fold(y), a product with each
+    sector's ``vectors`` as stored, read in place with no copy (see
     ``multifractal._weight_blocks``).  ``degenerate_clusters`` sums the
     sectors' gauge-fixed clusters (nonzero values flag gauge-dependent
     downstream quantities) and ``max_residual`` is the larger of their

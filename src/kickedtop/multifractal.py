@@ -32,7 +32,8 @@ __all__ = [
 
 DEFAULT_QS = (1.0, 2.0, np.inf)
 WEIGHT_CUTOFF = 1e-300  # below this, weights are dropped from q <= 1 sums (log guards)
-BLOCK_STATES = 128  # coherent states per theta-sorted block; 64-128 measured fastest
+BLOCK_STATES = 128  # coherent states per theta-sorted block while N <= BLOCK_HALVED_ABOVE
+BLOCK_HALVED_ABOVE = 401  # larger N take BLOCK_STATES // 2: half the work arrays at about the same CPU
 
 
 @dataclass(frozen=True)
@@ -130,25 +131,34 @@ def _fold(band: np.ndarray, lo: int, hi: int, n: int, work: np.ndarray):
     return fold, anti, 0
 
 
+def _block_states(n: int) -> int:
+    """Coherent states per block of ``_weight_blocks`` at dimension n."""
+    return BLOCK_STATES if n <= BLOCK_HALVED_ABOVE else BLOCK_STATES // 2
+
+
 def _weight_blocks(eig: FloquetEigensystem, thetas, phis):
-    """Yield (indices, weights) for blocks of ``BLOCK_STATES`` theta-sorted
-    coherent states; ``weights[r]`` belongs to input state ``indices[r]``,
-    its columns the sectors' eigenvectors side by side, each sector in
-    its stored order.  ``weights`` is a work array that the next block
-    overwrites.
+    """Yield (indices, weights) for blocks of ``_block_states(N)``
+    theta-sorted coherent states; ``weights[r]`` belongs to input state
+    ``indices[r]``, its columns the sectors' eigenvectors side by side,
+    each sector in its stored order.  ``weights`` is a work array that
+    the next block overwrites.
 
     Since v_i = diag(h) r_i c_i with r_i real, |<v_i|psi>| = |r_i^T y|
     with y = h* psi, and r_i is the mirror of its sector's half vector
     o_i, so r_i^T y = o_i^T fold(y) with
     fold(y)(m) = (y(m) +- y(-m))/sqrt2 on the rows m > 0 and y(0) on
     m = 0.  The band is built with the row phases h* and the 1/sqrt2
-    folded in, over the Dicke-row window its states occupy.  The
-    sectors' half vectors are laid side by side on the rows m >= 0,
-    once per call (half the size of the N x N mirror).  A block whose
-    window lies on one side of m = 0 is one real product (dgemm) of the
-    band's real and imaginary parts with the rows it reaches; a block
-    across m = 0 is folded (``_fold``: one sum and one difference per
-    row) onto fewer rows than it spans, one dgemm per sector.
+    folded in, over the Dicke-row window its states occupy.  Every
+    block takes one real product (dgemm) per sector, of the real and
+    imaginary parts of its folded band with the rows of that sector's
+    stored half vectors that the band reaches, into that sector's
+    columns of one product buffer; no copy of the sectors is made.  A
+    band on one side of m = 0 serves both sectors (the odd one has no
+    m = 0 row, so it skips the band's first row when that row is
+    m = 0); a band across m = 0 is folded (``_fold``: one sum and one
+    difference per row) onto fewer rows than it spans.  The work arrays
+    hold O(N * block) doubles, and the block halves above
+    N = ``BLOCK_HALVED_ABOVE``.
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -160,24 +170,23 @@ def _weight_blocks(eig: FloquetEigensystem, thetas, phis):
     h = eig.row_phases
     row_factor = h.conj() * np.sqrt(0.5)
     row_factor[c] = h[c].conj()  # m = 0 is its own mirror
-    even, odd = eig.sectors
-    halves = np.zeros((c + 1, n))  # the even half on the rows m = 0..j, the odd one on m = 1..j
-    halves[:, : c + 1] = even.vectors
-    halves[1:, c + 1 :] = odd.vectors
-    weights = np.empty((BLOCK_STATES, n))
-    product = np.empty((2 * BLOCK_STATES, n))
-    work = np.empty(n * BLOCK_STATES, dtype=complex)
-    for start in range(0, order.size, BLOCK_STATES):
-        idx = order[start : start + BLOCK_STATES]
+    even, odd = (s.vectors for s in eig.sectors)  # rows m = 0..j and m = 1..j
+    block = _block_states(n)
+    weights = np.empty((block, n))
+    product = np.empty((2 * block, n))
+    work = np.empty(n * block, dtype=complex)
+    for start in range(0, order.size, block):
+        idx = order[start : start + block]
         band, lo, hi = coherent_band(basis, thetas[idx], phis[idx], row_factor)
         fold, anti, r0 = _fold(band, lo, hi, n, work)
+        r1 = 0  # the odd half's row of anti's first row, m = r1 + 1
+        if anti is None:  # a one-sided band from m = r0 serves both; the odd half has no m = 0
+            skip = int(r0 == 0)
+            anti, r1 = fold[skip:], r0 + skip - 1
         # rows 2k and 2k+1 of the product are the real and imaginary parts for state k
         p = product[: 2 * idx.size]
-        if anti is None:
-            np.matmul(fold.view(float).T, halves[r0 : r0 + len(fold)], out=p)
-        else:
-            np.matmul(fold.view(float).T, halves[: len(fold), : c + 1], out=p[:, : c + 1])
-            np.matmul(anti.view(float).T, halves[1 : 1 + len(anti), c + 1 :], out=p[:, c + 1 :])
+        np.matmul(fold.view(float).T, even[r0 : r0 + len(fold)], out=p[:, : c + 1])
+        np.matmul(anti.view(float).T, odd[r1 : r1 + len(anti)], out=p[:, c + 1 :])
         p *= p
         w = weights[: idx.size]
         np.add(p[0::2], p[1::2], out=w)
@@ -202,7 +211,7 @@ def coherent_weights(eig: FloquetEigensystem, thetas, phis) -> np.ndarray:
 def _coherent_dimensions(eig, thetas, phis, q_values) -> tuple[np.ndarray, np.ndarray]:
     """S_q and D_q of each coherent state, rows in input order.
 
-    Reduces block by block, so temporaries stay O(N * BLOCK_STATES).
+    Reduces block by block, so temporaries stay O(N * block) (``_block_states``).
     """
     s = np.empty((np.size(thetas), len(q_values)))
     d = np.empty_like(s)
@@ -309,15 +318,15 @@ def averaged_dq(
 def scaling_fit(points, model: str = "linear_in_invlogN") -> ScalingFit:
     """Fit averaged D_q against system size N.
 
-    points: sequence of (N, D_q) pairs over several system sizes.
+    points: sequence of (N, D_q) pairs over at least two distinct system sizes.
     Models (x = 1/ln N):
         linear_in_invlogN:  D = intercept - slope * x
         loglog_in_invlogN:  D = intercept - slope * ln(ln N) * x
     The loglog form is the random-matrix asymptotic for q = infinity.
     """
     pts = sorted((float(n), float(dq)) for n, dq in points)
-    if len(pts) < 2:
-        raise ValueError("need at least 2 (N, D_q) points to fit 2 parameters")
+    if len({n for n, _ in pts}) < 2:
+        raise ValueError("need (N, D_q) points at 2 or more distinct N to fit 2 parameters")
     n = np.array([p[0] for p in pts])
     d = np.array([p[1] for p in pts])
     if model == "linear_in_invlogN":

@@ -191,6 +191,18 @@ def test_coeffdist_peak_memory_bounded(tmp_path):
 
 @pytest.mark.slow
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_scaling_large_j_warm_peak_memory_bounded(tmp_path):
+    # on a filled cache the peak is the expansion's: 85.0 MB when each call laid both
+    # sectors side by side and took blocks of 128 states at any N, 61.6 MB reading each
+    # sector in place with blocks of 64 above N = 401 (2-vCPU VM, OpenBLAS)
+    argv = ("multifractal", "--mode", "scaling", "--kappa", "7", "--j-list", "600,1000",
+            "--threads", "1", "--out", tmp_path)
+    assert run(*argv, "--samples", "2") == 0
+    assert peak_mb(*argv, "--samples", "1000") <= 72
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_spectrum_j1000_peak_memory_bounded(tmp_path):
     # one sector of n = 1001 (8 MB per n x n array): 146.7 MB when C, S, h h^T, A, B,
     # A + cB and the sorted copies were all alive, 107.7 MB with C and S made A and B
@@ -279,6 +291,16 @@ def no_eigensystem(monkeypatch):
         raise AssertionError("an eigensystem was requested")
 
     monkeypatch.setattr(cli, "cached_eigensystem", refuse)
+
+
+@pytest.mark.parametrize("j_list", ["20", "20,20"])
+def test_usage_error_scaling_one_distinct_j(tmp_path, capsys, no_eigensystem, j_list):
+    # a fit of D_q against N needs two N, so this fails before any eigensystem is built
+    out = tmp_path / "out"
+    assert run("multifractal", "--mode", "scaling", "--kappa", "7", "--j-list", j_list,
+               "--samples", "10", "--out", out) == 1
+    assert "two distinct --j-list" in capsys.readouterr().err
+    assert not (out / "cache").exists() and not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize(
@@ -489,6 +511,9 @@ THREAD_RECIPES = {
                           "--samples", "20"),
     "multifractal-scaling": ("multifractal", "--mode", "scaling", "--kappa", "7",
                              "--j-list", "5,8,11", "--samples", "20"),
+    # several blocks per point, on both sides of multifractal.BLOCK_HALVED_ABOVE (N = 401)
+    "multifractal-scaling-blocks": ("multifractal", "--mode", "scaling", "--kappa", "7",
+                                    "--j-list", "150,250", "--samples", "300"),
     "coeffdist": ("coeffdist", "--j-list", "8,10", "--kappa", "1,7", "--samples", "50"),
 }
 

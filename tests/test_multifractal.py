@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from math import lgamma
 
 import numpy as np
@@ -11,6 +12,8 @@ from kickedtop.floquet import SECTORS, FloquetEigensystem, KickedTopParams, Sect
 from kickedtop.multifractal import (
     BLOCK_STATES,
     WEIGHT_CUTOFF,
+    _block_states,
+    _fold,
     averaged_dq,
     coherent_weights,
     dq_field,
@@ -18,7 +21,7 @@ from kickedtop.multifractal import (
     renyi_dimensions,
     scaling_fit,
 )
-from kickedtop.spin import SpinBasis, coherent_state_matrix
+from kickedtop.spin import SpinBasis, coherent_band, coherent_state_matrix
 
 ALPHA = 4 * np.pi / 7
 QGRID = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, np.inf)
@@ -80,6 +83,73 @@ def test_coherent_weights_match_dense_oracle_on_floquet_eigensystems(j, kappa):
     theta[:3] = (0.0, np.pi, 1e-9)
     oracle = expand_states(coherent_state_matrix(basis, theta, phi), eig)
     assert np.max(np.abs(coherent_weights(eig, theta, phi) - oracle)) < 1e-12
+
+
+def _block_band(j, thetas):
+    """(lo, hi, r0) of the band of these states and of its fold."""
+    basis = SpinBasis(j)
+    band, lo, hi = coherent_band(basis, thetas, np.zeros(len(thetas)))
+    _, _, r0 = _fold(band, lo, hi, basis.dim, np.empty(basis.dim * len(thetas), dtype=complex))
+    return lo, hi, r0
+
+
+# where a block's band lies against m = 0: its thetas, and whether its fold starts at m = 0
+PRODUCT_BRANCHES = {
+    "above": (np.linspace(0.2, 0.5, 40), False),
+    "below": (np.linspace(np.pi - 0.5, np.pi - 0.2, 40), False),
+    "across": (np.linspace(np.pi / 2 - 0.2, np.pi / 2 + 0.2, 40), True),
+}
+
+
+@pytest.mark.parametrize("branch", list(PRODUCT_BRANCHES))
+@pytest.mark.parametrize("j", [150, 250])  # N = 301 and 501, either side of BLOCK_HALVED_ABOVE
+def test_coherent_weights_product_branches_match_dense_oracle(j, branch):
+    # one block per case, so the band of each product is the one checked here
+    thetas, from_m0 = PRODUCT_BRANCHES[branch]
+    assert thetas.size <= _block_states(2 * j + 1)
+    lo, hi, r0 = _block_band(j, thetas)
+    c = j  # the Dicke row of m = 0
+    assert {"above": lo > c, "below": hi <= c, "across": lo <= c < hi}[branch]
+    assert (r0 == 0) == from_m0
+    eig = eigensystem(j, 7.0)
+    phis = np.linspace(-3.0, 3.0, thetas.size)
+    oracle = expand_states(coherent_state_matrix(eig.params.basis, thetas, phis), eig)
+    assert np.max(np.abs(coherent_weights(eig, thetas, phis) - oracle)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "j, theta, from_m0",
+    [
+        (1, 1e-9, True),  # the band is m = 0, 1
+        (1, np.pi - 1e-9, True),  # m = -1, 0
+        (2, 1e-9, False),  # m = 1, 2: 1e-9 off a pole the band has two rows
+        (2, np.pi - 1e-9, False),
+        (2, 1e-7, True),  # m = 0..2
+        (2, np.pi - 1e-7, True),
+    ],
+)
+def test_coherent_weights_single_state_near_a_pole_matches_dense_oracle(j, theta, from_m0):
+    # a band that ends (north) or starts (south) at m = 0 folds from m = 0, where the
+    # odd half has no row, so the odd product skips the band's first row
+    _, _, r0 = _block_band(j, [theta])
+    assert (r0 == 0) == from_m0
+    eig = eigensystem(j, 7.0)
+    oracle = expand_states(coherent_state_matrix(eig.params.basis, [theta], [0.7]), eig)
+    assert np.max(np.abs(coherent_weights(eig, [theta], [0.7]) - oracle)) < 1e-12
+
+
+def test_averaged_dq_working_set_bounded():
+    # the expansion holds one block of product, weights, fold work and band: 9.8 MiB when
+    # each call laid both sectors side by side and took 128 states at any N, 3.7 MiB
+    # reading each sector in place with 64 states above N = 401
+    eig = eigensystem(400, 7.0)
+    tracemalloc.start()
+    try:
+        averaged_dq(eig, 600, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20
 
 
 def test_coherent_weights_permutation_equivariant():
@@ -328,6 +398,8 @@ def test_scaling_fit_recovers_loglog_model():
 def test_scaling_fit_validation():
     with pytest.raises(ValueError):
         scaling_fit([(100, 0.5)])
+    with pytest.raises(ValueError):
+        scaling_fit([(201, 0.5), (201, 0.6)])  # two points but one N: no slope to fit
     with pytest.raises(ValueError):
         scaling_fit([(100, 0.5), (200, 0.6)], "quadratic")
 
