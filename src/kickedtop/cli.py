@@ -16,8 +16,10 @@ depend on the thread count.
 Option precedence: command-line flags beat the config file, which beats
 the built-in defaults copied from the standard figure recipes.  The
 config file holds ``key = value`` lines ('#' comments allowed), keys
-named like the long options without the leading dashes; an unknown key,
-or a value the matching flag would reject, is a usage error.
+named like the long options without the leading dashes.  Each line
+becomes the flag it names, and the subcommand's own parser reads those
+flags ahead of the command-line ones, so a config value is typed and
+checked exactly as its flag is; an unknown key is a usage error.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ def parse_values(text: str) -> np.ndarray:
     so 0.2:1:0.2 gives 0.6, not 0.6000000000000001, and matches the same
     value given in a comma list.  It holds every start + i*step below
     stop + step/2, so stop is included."""
-    text = str(text).strip()
+    text = text.strip()
     if ":" in text:
         parts = [_decimal(p, text) for p in text.split(":")]
         if len(parts) != 3:
@@ -119,61 +121,51 @@ def _scan_str(text: str) -> str:
     return text
 
 
-def load_config(path) -> dict:
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def config_flags(path, parser: argparse.ArgumentParser) -> list[str]:
+    """The flags that the ``key = value`` lines of a config file stand for.
+
+    Every key must be the full name of a long option of the subcommand
+    (``config`` and ``help`` excepted), so argparse's prefix matching
+    never applies to it.  An on/off flag takes true or false, and false
+    adds no flag.  Any other value is written ``--key=value``, so the
+    parser checks it as it checks the flag, even one that starts with '-'.
+    A key given twice keeps its last value.
+    """
     try:
         content = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    cfg = {}
+    options = {
+        a.option_strings[-1][2:]: a
+        for a in parser._actions
+        if a.option_strings and a.option_strings[-1][2:] not in ("config", "help")
+    }
+    flags = {}
     for raw in content.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise UsageError(f"config line without '=': {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
-
-
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def validate_config(cfg: dict, parser: argparse.ArgumentParser) -> dict:
-    """Convert config values as the subcommand's flags would be.
-
-    Every key must name a long option of the subcommand (``config`` and
-    ``help`` excepted); each value goes through that option's ``type``
-    and ``choices``, and on/off flags take true/false.  Any violation is
-    a UsageError naming the key.
-    """
-    options = {
-        a.option_strings[-1][2:]: a
-        for a in parser._actions
-        if a.option_strings and a.option_strings[-1][2:] not in ("config", "help")
-    }
-    out = {}
-    for key, text in cfg.items():
-        action = options.get(key)
-        if action is None:
+        key, text = (part.strip() for part in line.split("=", 1))
+        if key not in options:
             raise UsageError(f"unknown config key {key!r}")
-        if action.nargs == 0:
-            if text.lower() not in _BOOLEANS:
-                raise UsageError(f"config key {key!r}: expected true or false, got {text!r}")
-            out[key] = _BOOLEANS[text.lower()]
-            continue
-        try:
-            value = action.type(text) if action.type else text
-        except (ValueError, TypeError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"config key {key!r}: invalid value {text!r}") from exc
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(str, action.choices))
-            raise UsageError(f"config key {key!r}: invalid choice {text!r} (choose from {choices})")
-        out[key] = value
-    return out
+        if options[key].nargs != 0:
+            flags[key] = f"--{key}={text}"
+        elif text.lower() not in _BOOLEANS:
+            raise UsageError(f"config key {key!r}: expected true or false, got {text!r}")
+        else:
+            flags[key] = f"--{key}" if _BOOLEANS[text.lower()] else ""
+    return [flag for flag in flags.values() if flag]
 
 
-def add_common(parser):
+def add_command(sub, name, func, summary) -> _Parser:
+    """The subcommand ``name``, run by ``func``, with the flags common to all."""
+    parser = sub.add_parser(name, help=summary)
+    parser.set_defaults(func=func, options=parser)
     parser.add_argument("--j", type=int, help="spin quantum number (integer)")
     parser.add_argument("--kappa", type=_scan_str, help="kick strength: value, comma list, or start:stop:step")
     parser.add_argument("--alpha", type=float, help="precession angle in radians (default 4pi/7)")
@@ -182,6 +174,7 @@ def add_common(parser):
     parser.add_argument("--out", help="output directory (default: ./out)")
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--no-cache", action="store_true", default=None, help="disable the eigensystem cache")
+    return parser
 
 
 class Run:
@@ -195,10 +188,9 @@ class Run:
 
     def __init__(self, args):
         self.args = args
-        self.cfg = validate_config(load_config(args.config), args.options) if args.config else {}
         self.command = args.command
-        self.seed = int(self.pick("seed", 0))
-        self.alpha = float(self.pick("alpha", ALPHA_DEFAULT))
+        self.seed = self.pick("seed", 0)
+        self.alpha = self.pick("alpha", ALPHA_DEFAULT)
         self.resolved = {"alpha": self.alpha, "seed": self.seed}
         # default: the cores this process may run on, which taskset narrows
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -208,43 +200,41 @@ class Run:
         self.files: list[str] = []
         self.t0 = time.perf_counter()
 
-    def pick(self, name, default, conv=None):
-        value = getattr(self.args, name.replace("-", "_"), None)
-        if value is None:
-            value = self.cfg.get(name)
-        if value is None:
-            value = default
-        if conv is not None and isinstance(value, str):
-            value = conv(value)
-        return value
+    def pick(self, name, default):
+        value = getattr(self.args, name.replace("-", "_"))
+        return default if value is None else value
 
-    def opt(self, name, default, conv=float):
+    def opt(self, name, default):
         """Resolve an option and record it for the metadata header."""
-        value = self.pick(name, default, conv)
+        value = self.pick(name, default)
         self.resolved[name] = value
         return value
 
     def count(self, name, default, minimum) -> int:
         """Resolve an integer option that must be at least ``minimum``."""
-        value = int(self.opt(name, default, int))
+        value = self.opt(name, default)
         if value < minimum:
             raise UsageError(f"--{name} must be at least {minimum}, got {value}")
         return value
 
     def kappas(self, default=FIGURE_KAPPAS) -> np.ndarray:
-        values = self.pick("kappa", default)
-        values = parse_values(values) if isinstance(values, str) else np.asarray(values)
+        values = parse_values(self.pick("kappa", default))
         self.resolved["kappa"] = ",".join(repr(float(v)) for v in values)
         return values
 
     def grid(self, kappas, js, alphas=None) -> list[KickedTopParams]:
         """Every scan point, alpha-major, then j, then kappa; built before
-        any work, so a value outside the parameter domain fails up front."""
+        any work, so a value outside the parameter domain, or a point given
+        twice (its rows could not be told apart), fails up front."""
         points = itertools.product([self.alpha] if alphas is None else alphas, js, kappas)
         try:
-            return [KickedTopParams(alpha=float(a), kappa=float(k), j=j) for a, j, k in points]
+            params = [KickedTopParams(alpha=float(a), kappa=float(k), j=j) for a, j, k in points]
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        if len(set(params)) < len(params):
+            twice = next(p for i, p in enumerate(params) if p in params[:i])
+            raise UsageError(f"the scan point {twice} is given twice")
+        return params
 
     def scan(self, compute, points) -> list:
         """``compute(task_index, point)`` for every point (or chunk of a
@@ -318,7 +308,7 @@ def cmd_portrait(args) -> int:
     run = Run(args)
     orbits = run.count("orbits", 289, 1)
     kicks = run.count("kicks", 300, 0)
-    points = run.grid(run.kappas(), [run.opt("j", 1, int)])  # classical map: j only recorded
+    points = run.grid(run.kappas(), [run.opt("j", 1)])  # classical map: j only recorded
     _check_file_names(points)
 
     portraits = phase_portrait(points, n_orbits=orbits, n_kicks=kicks, seed=run.seed, scan=run.scan)
@@ -332,9 +322,9 @@ def cmd_portrait(args) -> int:
 
 def cmd_lyapunov(args) -> int:
     run = Run(args)
-    mode = run.opt("mode", "field", str)
+    mode = run.opt("mode", "field")
     kicks = run.count("kicks", 5000, 1)
-    j = run.opt("j", 1, int)  # classical map: j only recorded for provenance
+    j = run.opt("j", 1)  # classical map: j only recorded for provenance
     if mode == "field":
         n_grid = run.count("grid", 200, 1)
         spec = GridSpec(n_phi=n_grid, n_theta=n_grid)
@@ -347,7 +337,7 @@ def cmd_lyapunov(args) -> int:
         run.emit_each("lyapunov_field", points, tables)
     elif mode == "scan":
         kappas = run.kappas("0:10:0.5")
-        alphas = parse_values(str(run.opt("alpha-grid", "0.1:6.2:0.2", str)))
+        alphas = parse_values(run.opt("alpha-grid", "0.1:6.2:0.2"))
         samples = run.count("samples", 1000, 2)  # a standard error needs two samples
         # kappa_threshold finds no crossing on the integrable lines alpha = 0, pi, 2pi
         kc_alphas = [a for a in alphas if min(abs(a), abs(a - np.pi), abs(a - 2 * np.pi)) > 0.05]
@@ -372,8 +362,8 @@ def cmd_lyapunov(args) -> int:
 
 def cmd_spectrum(args) -> int:
     run = Run(args)
-    j = run.opt("j", 1000, int)
-    sector = str(run.opt("sector", "even", str))
+    j = run.opt("j", 1000)
+    sector = run.opt("sector", "even")
     bins = np.linspace(0.0, 4.0, run.count("bins", 50, 1) + 1)
     points = run.grid(run.kappas(), [j])
     _check_file_names(points)
@@ -417,7 +407,7 @@ def _parse_qs(text: str) -> tuple:
     """The --q orders; two that share a column label are a usage error,
     since one would overwrite the other's column or repeat its rows."""
     qs, labels = [], {}
-    for part in str(text).split(","):
+    for part in text.split(","):
         part = part.strip().lower()
         try:
             q = np.inf if part in ("inf", "infinity") else float(part)
@@ -435,15 +425,15 @@ def _parse_qs(text: str) -> tuple:
 
 def cmd_multifractal(args) -> int:
     run = Run(args)
-    mode = run.opt("mode", "field", str)
-    qs = _parse_qs(run.opt("q", "1,2,inf", str))
+    mode = run.opt("mode", "field")
+    qs = _parse_qs(run.opt("q", "1,2,inf"))
     samples = run.count("samples", 10_000, 2)  # a standard error needs two samples
 
     def averaged(idx, p):
         return averaged_dq(run.eigensystem(p), samples, qs, seed=run.seed, task_index=idx)
 
     if mode == "field":
-        j = run.opt("j", 150, int)
+        j = run.opt("j", 150)
         n_grid = run.count("grid", 100, 1)
         spec = GridSpec(n_phi=n_grid, n_theta=n_grid)
         phi, theta = spec.mesh()
@@ -457,7 +447,7 @@ def cmd_multifractal(args) -> int:
 
         run.emit_each("dq_field", points, run.scan(field, points))
     elif mode == "scan":
-        js = parse_values(str(run.opt("j-list", "50,100,150,200", str)))
+        js = parse_values(run.opt("j-list", "50,100,150,200"))
         points = run.grid(run.kappas("0.2:8:0.2"), js)
         results = run.scan(averaged, points)
         rows = [
@@ -471,10 +461,11 @@ def cmd_multifractal(args) -> int:
         if kappas.size != 1:
             raise UsageError("scaling mode expects a single --kappa value")
         kappa = float(kappas[0])
-        points = run.grid(kappas, parse_values(str(run.opt("j-list", SCALING_JS, str))))
-        if len({p.j for p in points}) < 2:
+        js = parse_values(run.opt("j-list", SCALING_JS))
+        if len(set(js)) < 2:
             raise UsageError(f"scaling mode fits over N and needs at least two distinct --j-list values, "
                              f"got {run.resolved['j-list']!r}")
+        points = run.grid(kappas, js)
         results = run.scan(averaged, points)
         point_rows, fit_rows = [], []
         for l, q in enumerate(qs):
@@ -499,9 +490,9 @@ def cmd_multifractal(args) -> int:
 
 def cmd_coeffdist(args) -> int:
     run = Run(args)
-    nu = int(run.opt("nu", 2, int))
+    nu = run.opt("nu", 2)
     samples = run.count("samples", 10_000, 1)
-    js = parse_values(str(run.opt("j-list", "150", str)))
+    js = parse_values(run.opt("j-list", "150"))
     points = run.grid(run.kappas(), js)
     _check_file_names(points, with_j=True)
 
@@ -536,54 +527,48 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"kickedtop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("portrait", help="classical phase-space portraits")
-    add_common(p)
+    p = add_command(sub, "portrait", cmd_portrait, "classical phase-space portraits")
     p.add_argument("--orbits", type=int, help="number of random initial conditions (289)")
     p.add_argument("--kicks", type=int, help="kicks per orbit (300)")
-    p.set_defaults(func=cmd_portrait, options=p)
 
-    p = sub.add_parser("lyapunov", help="Lyapunov fields and phase-space averages")
-    add_common(p)
+    p = add_command(sub, "lyapunov", cmd_lyapunov, "Lyapunov fields and phase-space averages")
     p.add_argument("--mode", choices=["field", "scan"], help="field (default) or scan")
     p.add_argument("--grid", type=int, help="field grid size per side (200)")
     p.add_argument("--kicks", type=int, help="kicks per trajectory (5000)")
     p.add_argument("--samples", type=int, help="initial conditions per scan point (1000)")
     p.add_argument("--alpha-grid", help="alpha range for scan mode (start:stop:step)")
     p.add_argument("--kappa-c", action="store_true", default=None, help="also locate the chaos threshold per alpha")
-    p.set_defaults(func=cmd_lyapunov, options=p)
 
-    p = sub.add_parser("spectrum", help="quasienergy spacing statistics")
-    add_common(p)
+    p = add_command(sub, "spectrum", cmd_spectrum, "quasienergy spacing statistics")
     p.add_argument("--sector", choices=["even", "odd"], help="parity sector (even)")
     p.add_argument("--bins", type=int, help="histogram bins on s in [0,4] (50)")
-    p.set_defaults(func=cmd_spectrum, options=p)
 
-    p = sub.add_parser("multifractal", help="fractal dimensions of coherent states")
-    add_common(p)
+    p = add_command(sub, "multifractal", cmd_multifractal, "fractal dimensions of coherent states")
     p.add_argument("--mode", choices=["field", "scan", "scaling"], help="field (default), scan, scaling")
     p.add_argument("--grid", type=int, help="field grid size per side (100)")
     p.add_argument("--q", help="comma list of q orders, 'inf' allowed (1,2,inf)")
     p.add_argument("--samples", type=int, help="coherent states per average (10000)")
     p.add_argument("--j-list", help="comma list of j for scan/scaling modes")
-    p.set_defaults(func=cmd_multifractal, options=p)
 
-    p = sub.add_parser("coeffdist", help="expansion-coefficient distributions vs chi^2_nu")
-    add_common(p)
+    p = add_command(sub, "coeffdist", cmd_coeffdist, "expansion-coefficient distributions vs chi^2_nu")
     p.add_argument("--nu", type=int, choices=[1, 2, 4], help="reference chi^2 degrees of freedom (2)")
     p.add_argument("--samples", type=int, help="coherent states pooled per point (10000)")
     p.add_argument("--j-list", help="comma list of j values (150)")
-    p.set_defaults(func=cmd_coeffdist, options=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # the config flags go first, so the command-line flags after them win
+            rest = argv[argv.index(args.command) + 1 :]
+            args = parser.parse_args([args.command, *config_flags(args.config, args.options), *rest])
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"kickedtop: usage error: {exc}", file=sys.stderr)
         return 1

@@ -269,6 +269,91 @@ def test_config_values_use_flag_types(tmp_path):
     assert not (out / "cache").exists()
 
 
+# each recipe with an on/off flag or a start:stop:step range among its values
+CONFIG_RECIPES = {
+    "portrait": ("portrait", "--kappa", "0.4:1.2:0.4", "--orbits", "4", "--kicks", "10", "--seed", "3"),
+    "lyapunov": ("lyapunov", "--mode", "scan", "--kappa", "1,5", "--alpha-grid", "1:2:0.5",
+                 "--samples", "6", "--kicks", "40", "--kappa-c"),
+    "spectrum": ("spectrum", "--j", "12", "--kappa", "0.4:7:3.3", "--bins", "10", "--sector", "odd",
+                 "--no-cache"),
+    "multifractal": ("multifractal", "--mode", "scaling", "--kappa", "7", "--j-list", "5,8",
+                     "--samples", "20", "--q", "2,inf", "--no-cache"),
+    "coeffdist": ("coeffdist", "--j-list", "8,10", "--kappa", "1:7:6", "--samples", "50", "--nu", "1",
+                  "--alpha", "1.5"),
+}
+
+
+def _as_config(flags):
+    """The ``key = value`` lines that stand for a run's flags; an on/off flag reads ``true``."""
+    lines, flags = [], list(flags)
+    while flags:
+        key = flags.pop(0)[2:]
+        lines.append(f"{key} = {flags.pop(0) if flags and not flags[0].startswith('--') else 'true'}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv", list(CONFIG_RECIPES.values()), ids=list(CONFIG_RECIPES))
+def test_config_file_gives_the_run_of_its_flags(tmp_path, argv):
+    command, flags = argv[0], argv[1:]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_as_config(flags))
+    assert run(*argv, "--out", tmp_path / "flags") == 0
+    assert run(command, "--config", cfg, "--out", tmp_path / "cfg") == 0
+    outputs, configs = [], []
+    for out in (tmp_path / "flags", tmp_path / "cfg"):
+        outputs.append({p.name: p.read_bytes() for p in out.glob("*.csv")})
+        configs.append(json.loads((out / f"{command}_manifest.json").read_text())["config"])
+    assert outputs[0] and outputs[0] == outputs[1]
+    assert configs[0] == configs[1]
+    if "--no-cache" in flags:
+        assert not (tmp_path / "cfg" / "cache").exists()
+
+
+@pytest.mark.parametrize("off", ["false", "No", "0"])
+def test_config_off_value_adds_no_flag(tmp_path, off):
+    cfg = tmp_path / "off.cfg"
+    cfg.write_text(f"no-cache = {off}\nj = 4\n")
+    out = tmp_path / "out"
+    assert run("spectrum", "--kappa", "1", "--config", cfg, "--out", out) == 0
+    assert (out / "cache").exists()
+
+
+@pytest.mark.parametrize("line", ["orb = 4", "help = true", "config = other.cfg", "no-cache = maybe"])
+def test_usage_error_config_line_names_its_key(tmp_path, capsys, line):
+    # only full option names: no prefix of --orbits, and no key that prints help or reads a file
+    cfg = tmp_path / "keys.cfg"
+    cfg.write_text(line + "\n")
+    assert run("portrait", "--kappa", "1", "--config", cfg, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert repr(line.split(" = ")[0]) in err and "usage:" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_value_starting_with_a_dash_reaches_its_check(tmp_path, capsys):
+    cfg = tmp_path / "kappa.cfg"
+    cfg.write_text("kappa = -1\n")
+    assert run("portrait", "--config", cfg, "--out", tmp_path / "out") == 1
+    assert "kappa must be finite and >= 0, got -1.0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("lyapunov", "--mode", "scan", "--kappa", "1,1", "--alpha-grid", "1", "--samples", "4", "--kicks", "10"),
+        ("multifractal", "--mode", "scaling", "--kappa", "7", "--j-list", "20,30,30", "--samples", "10",
+         "--q", "2", "--no-cache"),
+        ("multifractal", "--mode", "scan", "--j-list", "20,20", "--kappa", "7,7", "--samples", "10"),
+    ],
+)
+def test_usage_error_repeated_scan_point(tmp_path, capsys, no_eigensystem, args):
+    # two rows of one point, each from its own draw, could not be told apart
+    out = tmp_path / "out"
+    assert run(*args, "--out", out) == 1
+    assert "is given twice" in capsys.readouterr().err
+    assert not (out / "cache").exists() and not list(tmp_path.rglob("*.csv"))
+
+
 def test_usage_error_kappa_c_without_chaotic_alpha(tmp_path, capsys):
     # every alpha on an integrable line: no threshold to locate
     assert run("lyapunov", "--mode", "scan", "--alpha-grid", "0", "--kappa-c",
