@@ -13,7 +13,8 @@ by the post-precession S_z.  M is orthogonal, so trajectories stay on
 the unit sphere to machine precision.
 
 One in-place kick, ``_kick``, advances a batch of trajectories held as
-three coordinate arrays (and optionally their tangent vectors); every
+x, y and z arrays of one row, the points, or two, the points and their
+tangent vectors, which then share each rotation's ufunc calls; every
 other operation is a view of it.  Its parameters are per trajectory:
 kappa, sin a and cos a are scalars shared by the batch or arrays with
 one entry per trajectory, and sin a and cos a are taken once per batch,
@@ -25,8 +26,11 @@ bisection across all alpha still open.  A batch runs in chunks of
 callable (the CLI passes its thread pool); a trajectory's result is
 bit-identical whatever batch, chunk or thread it runs in.
 
-Lyapunov exponents use the single-tangent-vector Benettin estimator
-with per-step renormalization, per kick (unit time between kicks).
+Lyapunov exponents use the single-tangent-vector Benettin estimator,
+per kick (unit time between kicks).  After the transient the tangent is
+rescaled only by exact powers of two, every few kicks as its kappa
+allows, and lambda is read from its final norm and the powers taken out
+(``_lyapunov_batch``).
 The map and the kick commute with the parity R_x(pi), (x, y, z) ->
 (x, -y, -z), bit for bit, so a field on a grid that the parity maps onto
 itself runs only the first half of its cells (``GridSpec.solved_cells``)
@@ -107,70 +111,60 @@ def _per_trajectory(points, n: int):
     )
 
 
-def _kick(x, y, z, sa, ca, kappa, scratch, tangent=None):
-    """Advance sphere points (x, y, z) one kick, in place.
+def _kick(s, sa, ca, kappa, work):
+    """Advance a batch one kick, in place.
 
-    x, y, z are 1-D arrays of equal length; sa, ca and kappa are
-    sin(alpha), cos(alpha) and kappa, each a scalar or an array of that
-    length (one entry per trajectory).  ``scratch`` is a sequence of
-    five work arrays of that length, clobbered.  ``tangent``, when given,
-    is (dx, dy, dz), advanced in place by the tangent map at the old
-    points (no renormalization).  Writing W = R_x(a) S, X = kappa W_z:
+    s has shape (3, rows, n): x, y and z as (rows, n) arrays.  Row 0
+    holds n sphere points and row 1, when present, their tangent vectors,
+    advanced by the tangent map at the old points (no renormalization).
+    sa, ca and kappa are sin(alpha), cos(alpha) and kappa, each a scalar
+    or an array of n per-trajectory values.  ``work`` holds at least
+    3 * rows + 1 work arrays of length n, clobbered.  Writing
+    W = R_x(a) S, X = kappa W_z:
 
         S' = (cos X W_x - sin X W_y, sin X W_x + cos X W_y, W_z)
         d' = (cos X dW_x - sin X dW_y - S'_y dX,
               sin X dW_x + cos X dW_y + S'_x dX, dW_z)
 
-    with dW = R_x(a) d and dX = kappa dW_z.  The dX terms reuse S':
-    dS'_x/dX = -S'_y and dS'_y/dX = S'_x hold bit for bit, since IEEE
-    negation is exact, which saves four products per kick.
+    with dW = R_x(a) d and dX = kappa dW_z.  So both rows take the R_x(a)
+    and R_z(X) rotations in one ufunc each, with X from row 0, and the
+    tangent adds only the two dX terms.  These reuse S': dS'_x/dX = -S'_y
+    and dS'_y/dX = S'_x hold bit for bit, since IEEE negation is exact.
     """
-    wy, sx, cx, t, u = scratch
-    # one ufunc per operation of the formulas above, in their order:
-    # reordering a sum or product would move the last bits of lambda
+    x, y, z = s
+    rows = s.shape[1]
+    wy, t, k = work[:rows], work[rows : 2 * rows], work[2 * rows : 3 * rows]
+    sx = work[3 * rows : 3 * rows + 1]
+    # one ufunc per operation of the formulas above, in their order, on
+    # every row: reordering a sum or product would move the last bits of lambda
     np.multiply(ca, y, out=wy)
     np.multiply(sa, z, out=t)
     np.subtract(wy, t, out=wy)  # W_y = ca y - sa z
-    np.multiply(sa, y, out=sx)
-    np.multiply(ca, z, out=t)
-    np.add(sx, t, out=z)  # z' = W_z = sa y + ca z
-    np.multiply(kappa, z, out=t)
-    np.cos(t, out=cx)
-    np.sin(t, out=sx)
+    np.multiply(sa, y, out=t)
+    np.multiply(ca, z, out=y)
+    np.add(t, y, out=z)  # z' = W_z = sa y + ca z
+    np.multiply(kappa, z, out=k)  # X, and dX on row 1
+    cx = k[:1]  # X, then cos X
+    np.sin(cx, out=sx)
+    np.cos(cx, out=cx)
     np.multiply(sx, wy, out=t)
     np.multiply(sx, x, out=y)
     np.multiply(cx, x, out=x)
     np.subtract(x, t, out=x)
     np.multiply(cx, wy, out=t)
-    np.add(y, t, out=y)  # x, y now hold S'_x, S'_y
-    if tangent is None:
+    np.add(y, t, out=y)  # x, y now hold the rotated rows: S'_x, S'_y on row 0
+    if rows == 1:
         return
-    dx, dy, dz = tangent
-    dwy = wy
-    np.multiply(ca, dy, out=dwy)
-    np.multiply(sa, dz, out=t)
-    np.subtract(dwy, t, out=dwy)
-    np.multiply(sa, dy, out=t)
-    np.multiply(ca, dz, out=dy)
-    np.add(t, dy, out=dz)  # dz' = dW_z
-    np.multiply(kappa, dz, out=u)  # dX
-    np.multiply(sx, dx, out=dy)
-    np.multiply(cx, dwy, out=t)
-    np.add(dy, t, out=dy)
-    np.multiply(x, u, out=t)
-    np.add(dy, t, out=dy)
-    np.multiply(cx, dx, out=dx)
-    np.multiply(sx, dwy, out=t)
-    np.subtract(dx, t, out=dx)
-    np.multiply(y, u, out=t)
-    np.subtract(dx, t, out=dx)
+    np.multiply(s[1::-1, 0], k[1], out=t)  # S'_y dX, S'_x dX
+    np.subtract(x[1], t[0], out=x[1])
+    np.add(y[1], t[1], out=y[1])
 
 
 def _step_batch(s: np.ndarray, alpha: float, kappa: float) -> np.ndarray:
     """Advance a batch of sphere points one kick; s has shape (n, 3)."""
-    x, y, z = np.array(s, dtype=float).T.copy()
-    _kick(x, y, z, np.sin(alpha), np.cos(alpha), kappa, np.empty((5, x.size)))
-    return np.stack([x, y, z], axis=1)
+    pts = np.array(s, dtype=float).T.copy()[:, None]
+    _kick(pts, np.sin(alpha), np.cos(alpha), kappa, np.empty((4, pts.shape[2])))
+    return pts[:, 0].T
 
 
 def jacobian(s: np.ndarray, params) -> np.ndarray:
@@ -189,6 +183,29 @@ def jacobian(s: np.ndarray, params) -> np.ndarray:
     return m + np.outer(dm_dxi @ s, grad_xi)
 
 
+def _rescale_periods(kappa) -> np.ndarray:
+    """Kicks between two power-of-two rescales of a tangent: per kappa, the
+    largest power of two K <= 16 with K log2(1 + kappa) <= 500, or 1.  One
+    kick stretches a tangent by at most 1 + kappa, so K kicks keep it
+    within 2^+-500 of its last scale."""
+    growth = np.log2(1.0 + np.abs(np.asarray(kappa, dtype=float)))
+    period = np.full(growth.shape, 16)
+    for _ in range(4):
+        period = np.where(period * growth > 500, period // 2, period)
+    return period
+
+
+def _norm(d, out, tmp):
+    """|d| of tangents d, shape (3, n), into ``out``, summed as
+    (dx^2 + dy^2) + dz^2, the order of np.linalg.norm."""
+    np.multiply(d[0], d[0], out=out)
+    np.multiply(d[1], d[1], out=tmp)
+    np.add(out, tmp, out=out)
+    np.multiply(d[2], d[2], out=tmp)
+    np.add(out, tmp, out=out)
+    return np.sqrt(out, out=out)
+
+
 def _lyapunov_batch(
     s0: np.ndarray,
     alpha,
@@ -201,38 +218,61 @@ def _lyapunov_batch(
 
     alpha and kappa are scalars or arrays of n per-trajectory values.
     The transient lets the tangent vector align with the most expanding
-    direction before accumulation starts.  Trajectories run in chunks of
-    ``CHUNK_TRAJECTORIES`` through ``scan`` (see ``_chunked``); each is
-    independent, so a trajectory's estimate does not depend on the batch
-    or chunk it is run in.
+    direction before accumulation starts; at its end each tangent is
+    divided by its norm.  From then on the tangent is rescaled only by
+    exact powers of two: every K kicks (``_rescale_periods`` of its own
+    kappa) it is divided, with ``ldexp``, by 2^e, e the ``frexp``
+    exponent of its largest |component|, and e is added to a count E.
+    So lambda = (ln|d| + E ln 2) / n_kicks, with no norm, sqrt, log or
+    divide per kick.  A chunk rescales at the multiples of its smallest
+    K, and a trajectory whose K does not divide the kick count is left
+    as it is, so each trajectory rescales at the multiples of its own K.
+
+    Trajectories run in chunks of ``CHUNK_TRAJECTORIES`` through ``scan``
+    (see ``_chunked``); each is independent, so a trajectory's estimate
+    does not depend on the batch or chunk it is run in.
     """
     if n_kicks < 1:
         raise ValueError(f"n_kicks must be at least 1, got {n_kicks}")
     s = np.asarray(s0, dtype=float)
     lam = np.empty(s.shape[0])
 
-    def chunk(rows, sa, ca, kappa):
-        x, y, z = s[rows].T.copy()
-        d = np.full((3, x.size), 1.0 / np.sqrt(3.0))
-        scratch = np.empty((5, x.size))
-        r, t = np.empty((2, x.size))
-        acc = np.zeros(x.size)
-        for n in range(max(n_transient, 0) + n_kicks):
-            _kick(x, y, z, sa, ca, kappa, scratch, d)
-            # |d| summed as (dx^2 + dy^2) + dz^2, the order of np.linalg.norm
-            np.multiply(d[0], d[0], out=r)
-            np.multiply(d[1], d[1], out=t)
-            np.add(r, t, out=r)
-            np.multiply(d[2], d[2], out=t)
-            np.add(r, t, out=r)
-            np.sqrt(r, out=r)
-            if n >= n_transient:
-                np.log(r, out=t)
-                np.add(acc, t, out=acc)
-            np.divide(d, r, out=d)
-        np.divide(acc, n_kicks, out=lam[rows])
+    def chunk(rows, sa, ca, kappa, period):
+        start = s[rows].T
+        n = start.shape[1]
+        pts = np.empty((3, 2, n))  # x, y, z; row 0 the points, row 1 their tangents
+        pts[:, 0] = start
+        pts[:, 1] = 1.0 / np.sqrt(3.0)
+        d = pts[:, 1]
+        work = np.empty((7, n))
+        # frexp's exponents and who is due a rescale, in the bytes of two work arrays
+        exps, due = work[5].view(np.intc)[:n], work[6].view(bool)[:n]
+        count = np.zeros(n)  # E
+        step = int(np.min(period))
 
-    _chunked(s.shape[0], scan, chunk, np.sin(alpha), np.cos(alpha), kappa)
+        def kicks(n_run):
+            for c in range(1, n_run + 1):
+                _kick(pts, sa, ca, kappa, work)
+                if c % step == 0:
+                    # K divides c for every K up to c's largest power-of-two factor
+                    np.less_equal(period, c & -c, out=due)
+                    np.abs(d, out=work[:3])
+                    np.maximum(work[0], work[1], out=work[3])
+                    np.maximum(work[3], work[2], out=work[3])
+                    np.frexp(work[3], out=(work[4], exps))
+                    np.add(count, exps, out=count, where=due)
+                    np.negative(exps, out=exps)
+                    np.ldexp(d, exps, out=d, where=due)
+
+        kicks(max(n_transient, 0))
+        np.divide(d, _norm(d, work[0], work[1]), out=d)
+        count.fill(0.0)  # E counts from the end of the transient
+        kicks(n_kicks)
+        r = np.log(_norm(d, work[0], work[1]), out=work[0])
+        np.add(r, np.multiply(count, np.log(2.0), out=work[1]), out=r)
+        np.divide(r, n_kicks, out=lam[rows])
+
+    _chunked(s.shape[0], scan, chunk, np.sin(alpha), np.cos(alpha), kappa, _rescale_periods(kappa))
     return lam
 
 
@@ -517,15 +557,15 @@ def phase_portrait(params, n_orbits: int = 289, n_kicks: int = 300, seed: int = 
     thetas = np.empty((s0.shape[0], n_kicks + 1))
 
     def chunk(rows, sa, ca, kappa):
-        s = s0[rows].T.copy()
-        scratch = np.empty((5, s.shape[1]))
-        record = np.empty((3, RECORD_KICKS, s.shape[1]))
+        s = s0[rows].T.copy()[:, None]  # one row: the points
+        work = np.empty((4, s.shape[2]))
+        record = np.empty((3, RECORD_KICKS, s.shape[2]))
         for first in range(0, n_kicks + 1, RECORD_KICKS):
             size = min(RECORD_KICKS, n_kicks + 1 - first)
             for i in range(size):
-                record[:, i] = s
+                record[:, i] = s[:, 0]
                 if first + i < n_kicks:
-                    _kick(*s, sa, ca, kappa, scratch)
+                    _kick(s, sa, ca, kappa, work)
             x, y, z = record[:, :size]  # clobbered: the angles are taken in place
             phis[rows, first : first + size] = _wrap_phi(np.arctan2(y, x, out=x), y).T
             thetas[rows, first : first + size] = np.arccos(np.clip(z, -1.0, 1.0, out=z), out=z).T

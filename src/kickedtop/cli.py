@@ -4,7 +4,9 @@ deterministic seeding, and CSV/manifest emission.
 Subcommands: portrait, lyapunov, spectrum, multifractal, coeffdist.
 Common flags: --j, --kappa (value, comma list, or start:stop:step),
 --alpha, --seed, --threads, --out, --config.  Exit codes: 0 success,
-1 usage error, 2 numerical failure.
+1 usage error, 2 numerical failure.  An option that the chosen mode
+does not read, as a flag or a config key, is a usage error
+(``Run.unread``), raised before any work.
 
 Every subcommand builds its parameter points up front (``Run.grid``)
 and computes them through one driver, ``Run.scan``, on --threads
@@ -210,6 +212,13 @@ class Run:
         self.resolved[name] = value
         return value
 
+    def unread(self, recipe, *names) -> None:
+        """Before any work: a usage error for any of ``names`` that was
+        given, as a flag or a config key, since ``recipe`` does not read it."""
+        given = [f"--{n}" for n in names if self.pick(n, None) is not None]
+        if given:
+            raise UsageError(f"{recipe} does not read {', '.join(given)}")
+
     def count(self, name, default, minimum) -> int:
         """Resolve an integer option that must be at least ``minimum``."""
         value = self.opt(name, default)
@@ -326,6 +335,7 @@ def cmd_lyapunov(args) -> int:
     kicks = run.count("kicks", 5000, 1)
     j = run.opt("j", 1)  # classical map: j only recorded for provenance
     if mode == "field":
+        run.unread("lyapunov field mode", "samples", "alpha-grid", "kappa-c")
         n_grid = run.count("grid", 200, 1)
         spec = GridSpec(n_phi=n_grid, n_theta=n_grid)
         phi, theta = spec.mesh()
@@ -336,6 +346,7 @@ def cmd_lyapunov(args) -> int:
         tables = [{"phi": phi, "theta": theta, "lambda": f.grid.ravel()} for f in fields]
         run.emit_each("lyapunov_field", points, tables)
     elif mode == "scan":
+        run.unread("lyapunov scan mode", "grid", "alpha")  # the angles come from --alpha-grid
         kappas = run.kappas("0:10:0.5")
         alphas = parse_values(run.opt("alpha-grid", "0.1:6.2:0.2"))
         samples = run.count("samples", 1000, 2)  # a standard error needs two samples
@@ -433,6 +444,7 @@ def cmd_multifractal(args) -> int:
         return averaged_dq(run.eigensystem(p), samples, qs, seed=run.seed, task_index=idx)
 
     if mode == "field":
+        run.unread("multifractal field mode", "j-list", "samples")
         j = run.opt("j", 150)
         n_grid = run.count("grid", 100, 1)
         spec = GridSpec(n_phi=n_grid, n_theta=n_grid)
@@ -447,6 +459,7 @@ def cmd_multifractal(args) -> int:
 
         run.emit_each("dq_field", points, run.scan(field, points))
     elif mode == "scan":
+        run.unread("multifractal scan mode", "j", "grid")
         js = parse_values(run.opt("j-list", "50,100,150,200"))
         points = run.grid(run.kappas("0.2:8:0.2"), js)
         results = run.scan(averaged, points)
@@ -457,6 +470,7 @@ def cmd_multifractal(args) -> int:
         ]
         run.emit_rows("multifractal_scan.csv", ("kappa", "j", "N", "q", "Dq_mean", "stderr"), rows)
     elif mode == "scaling":
+        run.unread("multifractal scaling mode", "j", "grid")
         kappas = run.kappas("7")
         if kappas.size != 1:
             raise UsageError("scaling mode expects a single --kappa value")
@@ -490,6 +504,7 @@ def cmd_multifractal(args) -> int:
 
 def cmd_coeffdist(args) -> int:
     run = Run(args)
+    run.unread("coeffdist", "j")  # the spins come from --j-list
     nu = run.opt("nu", 2)
     samples = run.count("samples", 10_000, 1)
     js = parse_values(run.opt("j-list", "150"))

@@ -124,13 +124,9 @@ def test_lyapunov_batch_independent_of_chunking(monkeypatch):
         assert np.array_equal(batch, single)
 
 
-@pytest.mark.parametrize("kappa", [0.4, 3.0, 7.0])
-def test_lyapunov_batch_matches_jacobian_oracle(kappa):
+def benettin_by_hand(p, s0, n_kicks, n_transient):
     # Benettin by hand: one-point kicks for the orbit, the analytic
     # jacobian for the tangent vector, renormalized every kick
-    p = params(kappa=kappa)
-    s0 = random_unit_vectors(20, seed=6)
-    n_kicks, n_transient = 500, 100
     expected = []
     for s in s0:
         state, d, acc = s, np.full(3, 1.0 / np.sqrt(3.0)), 0.0
@@ -142,8 +138,43 @@ def test_lyapunov_batch_matches_jacobian_oracle(kappa):
                 acc += np.log(r)
             d = d / r
         expected.append(acc / n_kicks)
+    return np.array(expected)
+
+
+@pytest.mark.parametrize("kappa", [0.4, 3.0, 7.0])
+def test_lyapunov_batch_matches_jacobian_oracle(kappa):
+    p = params(kappa=kappa)
+    s0 = random_unit_vectors(20, seed=6)
+    n_kicks, n_transient = 500, 100
+    expected = benettin_by_hand(p, s0, n_kicks, n_transient)
     lam = _lyapunov_batch(s0, p.alpha, p.kappa, n_kicks, n_transient)
     assert np.max(np.abs(lam - expected)) < 1e-10
+
+
+@pytest.mark.parametrize("kappa", [1e19, 1e25])
+def test_lyapunov_batch_finite_at_extreme_kappa(kappa):
+    # a kick stretches the tangent by up to 1 + kappa = 2^63 or 2^83, so 15 kicks
+    # since the last multiple of 16, where each norm is taken here, overflow its
+    # square; the rescale period follows kappa instead
+    p = params(kappa=kappa)
+    s0 = random_unit_vectors(20, seed=7)
+    n_kicks, n_transient = 207, 15
+    lam = _lyapunov_batch(s0, p.alpha, p.kappa, n_kicks, n_transient)
+    assert np.all(np.isfinite(lam))
+    assert np.max(np.abs(lam - benettin_by_hand(p, s0, n_kicks, n_transient))) < 1e-10
+
+
+def test_lyapunov_batch_mixing_kappa_matches_single_runs(monkeypatch):
+    # kappa = 3 and 1e19 alternate trajectory by trajectory, so every chunk mixes
+    # rescale periods; each trajectory must still give its single-run bits
+    monkeypatch.setattr(classical, "CHUNK_TRAJECTORIES", 5)
+    s0 = random_unit_vectors(12, seed=8)
+    kappa = np.tile([3.0, 1e19], 6)
+    alpha = np.linspace(0.5, 2.5, 12)
+    batch = _lyapunov_batch(s0, alpha, kappa, 150, 20)
+    single = [_lyapunov_batch(s[None, :], a, k, 150, 20)[0] for s, a, k in zip(s0, alpha, kappa)]
+    assert np.all(np.isfinite(batch))
+    assert np.array_equal(batch, single)
 
 
 def test_lyapunov_needs_a_kick():
@@ -418,7 +449,8 @@ def test_batched_recipes_match_one_point_calls():
 def per_kick_portrait(p, n_orbits, n_kicks, seed):
     # the angles taken after every kick, one column of the outputs at a time
     theta0, phi0 = haar_sphere(n_orbits, rng_for_task(seed))
-    x, y, z = classical._unit_vectors(theta0, phi0).T.copy()
+    pts = classical._unit_vectors(theta0, phi0).T.copy()[:, None]  # one row: the points
+    x, y, z = pts[:, 0]
     scratch = np.empty((5, n_orbits))
     phis = np.empty((n_orbits, n_kicks + 1))
     thetas = np.empty((n_orbits, n_kicks + 1))
@@ -426,7 +458,7 @@ def per_kick_portrait(p, n_orbits, n_kicks, seed):
         phis[:, n] = np.arctan2(y, x) % (2 * np.pi)
         thetas[:, n] = np.arccos(np.clip(z, -1.0, 1.0))
         if n < n_kicks:
-            classical._kick(x, y, z, np.sin(p.alpha), np.cos(p.alpha), p.kappa, scratch)
+            classical._kick(pts, np.sin(p.alpha), np.cos(p.alpha), p.kappa, scratch)
     return phis.ravel(), thetas.ravel(), np.repeat(np.arange(n_orbits), n_kicks + 1)
 
 
@@ -564,18 +596,83 @@ def test_grid_spec_solves_half_of_a_mirror_symmetric_grid(spec, solved):
 
 @pytest.mark.parametrize("kappa, alpha", [(0.4, ALPHA), (3.0, 1.0), (7.0, 2.5)])
 def test_kick_is_bitwise_parity_equivariant(kappa, alpha):
-    # R = diag(1, -1, -1) on the points and on the tangents, renormalized as in the
-    # Benettin loop: the two batches stay exact mirrors, kick after kick
-    s = random_unit_vectors(200, seed=5).T.copy()
-    d = random_unit_vectors(200, seed=6).T.copy()
-    ms, md = s * [[1.0], [-1.0], [-1.0]], d * [[1.0], [-1.0], [-1.0]]
-    scratch = np.empty((5, 200))
+    # R = diag(1, -1, -1) on the points and on the tangents, renormalized by their
+    # norm: the two batches stay exact mirrors, kick after kick; each batch holds
+    # its points in row 0 and their tangents in row 1
+    batch = np.stack([random_unit_vectors(200, seed=5).T, random_unit_vectors(200, seed=6).T], axis=1)
+    mirror = batch * [[[1.0]], [[-1.0]], [[-1.0]]]
+    (s, d), (ms, md) = batch.transpose(1, 0, 2), mirror.transpose(1, 0, 2)
+    scratch = np.empty((7, 200))
     for _ in range(600):
-        for pt, tg in ((s, d), (ms, md)):
-            classical._kick(*pt, np.sin(alpha), np.cos(alpha), kappa, scratch, tg)
+        for pt, tg in ((batch, d), (mirror, md)):
+            classical._kick(pt, np.sin(alpha), np.cos(alpha), kappa, scratch)
             tg /= np.sqrt((tg[0] * tg[0] + tg[1] * tg[1]) + tg[2] * tg[2])
         assert np.array_equal(ms[0], s[0]) and np.array_equal(ms[1:], -s[1:])
         assert np.array_equal(md[0], d[0]) and np.array_equal(md[1:], -d[1:])
+
+
+def per_coordinate_kick(x, y, z, sa, ca, kappa, scratch, tangent):
+    # the kick as it was before its rows were stacked: points and tangents
+    # in separate coordinate arrays, one ufunc per operation
+    wy, sx, cx, t, u = scratch
+    np.multiply(ca, y, out=wy)
+    np.multiply(sa, z, out=t)
+    np.subtract(wy, t, out=wy)
+    np.multiply(sa, y, out=sx)
+    np.multiply(ca, z, out=t)
+    np.add(sx, t, out=z)
+    np.multiply(kappa, z, out=t)
+    np.cos(t, out=cx)
+    np.sin(t, out=sx)
+    np.multiply(sx, wy, out=t)
+    np.multiply(sx, x, out=y)
+    np.multiply(cx, x, out=x)
+    np.subtract(x, t, out=x)
+    np.multiply(cx, wy, out=t)
+    np.add(y, t, out=y)
+    dx, dy, dz = tangent
+    dwy = wy
+    np.multiply(ca, dy, out=dwy)
+    np.multiply(sa, dz, out=t)
+    np.subtract(dwy, t, out=dwy)
+    np.multiply(sa, dy, out=t)
+    np.multiply(ca, dz, out=dy)
+    np.add(t, dy, out=dz)
+    np.multiply(kappa, dz, out=u)
+    np.multiply(sx, dx, out=dy)
+    np.multiply(cx, dwy, out=t)
+    np.add(dy, t, out=dy)
+    np.multiply(x, u, out=t)
+    np.add(dy, t, out=dy)
+    np.multiply(cx, dx, out=dx)
+    np.multiply(sx, dwy, out=t)
+    np.subtract(dx, t, out=dx)
+    np.multiply(y, u, out=t)
+    np.subtract(dx, t, out=dx)
+
+
+@pytest.mark.parametrize("per_trajectory", [False, True])
+def test_stacked_kick_keeps_the_per_coordinate_bits(per_trajectory):
+    n = 300
+    rng = np.random.default_rng(9)
+    if per_trajectory:
+        alpha, kappa = rng.uniform(0.0, 2 * np.pi, n), rng.uniform(0.0, 10.0, n)
+    else:
+        alpha, kappa = 1.3, 7.0
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    s, d = random_unit_vectors(n, seed=10).T.copy(), random_unit_vectors(n, seed=11).T.copy()
+    batch = np.stack([s, d], axis=1)  # x, y, z; row 0 the points, row 1 their tangents
+    points = s[:, None].copy()  # one row: the points alone
+    scratch, work = np.empty((5, n)), np.empty((7, n))
+    for _ in range(500):
+        per_coordinate_kick(*s, sa, ca, kappa, scratch, d)
+        classical._kick(batch, sa, ca, kappa, work)
+        classical._kick(points, sa, ca, kappa, work)
+        assert np.array_equal(batch[:, 0], s) and np.array_equal(batch[:, 1], d)
+        assert np.array_equal(points[:, 0], s)
+        # the same renormalization on both sides keeps the tangents finite
+        for tg in (d, batch[:, 1]):
+            tg /= np.sqrt((tg[0] * tg[0] + tg[1] * tg[1]) + tg[2] * tg[2])
 
 
 @pytest.mark.parametrize("n_phi, n_theta", [(4, 3), (5, 7), (1, 1), (2, 1)])

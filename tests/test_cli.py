@@ -354,6 +354,48 @@ def test_usage_error_repeated_scan_point(tmp_path, capsys, no_eigensystem, args)
     assert not (out / "cache").exists() and not list(tmp_path.rglob("*.csv"))
 
 
+# options that the chosen mode does not read, and the message that names them
+UNREAD_OPTIONS = {
+    "lyapunov-field": (("lyapunov", "--kappa", "3", "--grid", "4", "--kicks", "10", "--kappa-c",
+                        "--samples", "5", "--alpha-grid", "1"),
+                       "lyapunov field mode does not read --samples, --alpha-grid, --kappa-c"),
+    "lyapunov-scan": (("lyapunov", "--mode", "scan", "--kappa", "1", "--alpha-grid", "1", "--samples", "4",
+                       "--kicks", "10", "--alpha", "1", "--grid", "4"),
+                      "lyapunov scan mode does not read --grid, --alpha"),
+    "multifractal-field": (("multifractal", "--j", "4", "--kappa", "7", "--grid", "3", "--j-list", "20",
+                            "--samples", "10"),
+                           "multifractal field mode does not read --j-list, --samples"),
+    "multifractal-scan": (("multifractal", "--mode", "scan", "--j", "40", "--grid", "3", "--j-list", "20",
+                           "--kappa", "7", "--samples", "10"),
+                          "multifractal scan mode does not read --j, --grid"),
+    "multifractal-scaling": (("multifractal", "--mode", "scaling", "--kappa", "7", "--j-list", "20,30",
+                              "--samples", "10", "--grid", "3"),
+                             "multifractal scaling mode does not read --grid"),
+    "coeffdist": (("coeffdist", "--j", "100", "--j-list", "20", "--kappa", "7", "--samples", "20"),
+                  "coeffdist does not read --j"),
+}
+
+
+@pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
+@pytest.mark.parametrize("argv, message", list(UNREAD_OPTIONS.values()), ids=list(UNREAD_OPTIONS))
+def test_usage_error_option_the_mode_does_not_read(tmp_path, capsys, monkeypatch, argv, message, from_config):
+    from kickedtop import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work was started")
+
+    for name in ("cached_eigensystem", "lyapunov_field", "averaged_lyapunov", "kappa_threshold"):
+        monkeypatch.setattr(cli, name, refuse)
+    if from_config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(_as_config(argv[1:]))
+        argv = (argv[0], "--config", cfg)
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_kappa_c_without_chaotic_alpha(tmp_path, capsys):
     # every alpha on an integrable line: no threshold to locate
     assert run("lyapunov", "--mode", "scan", "--alpha-grid", "0", "--kappa-c",
